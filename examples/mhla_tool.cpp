@@ -405,10 +405,12 @@ int run_tool(Options& options) {
     // The workspace build is the analyze stage (run(Program) would span it
     // itself; this path pre-builds to keep the workspace for the reports).
     std::unique_ptr<core::Workspace> ws;
+    double analyze_s = 0.0;
     {
       obs::Span span("analyze", "pipeline");
       ws = core::make_workspace(std::move(program), options.pipeline.platform,
                                 options.pipeline.dma);
+      analyze_s = span.finish();
     }
     core::Pipeline pipeline(options.pipeline);
     if (options.verbose) {
@@ -417,6 +419,8 @@ int run_tool(Options& options) {
       });
     }
     core::PipelineResult run = pipeline.run(*ws);
+    run.timings.front().seconds = analyze_s;  // run(Workspace) reports 0 for "analyze"
+    run.total_seconds += analyze_s;
 
     if (options.verbose) {
       std::cout << "strategy " << run.strategy << ": " << run.search.moves.size()

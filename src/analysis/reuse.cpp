@@ -4,22 +4,41 @@
 #include <cstdlib>
 #include <map>
 #include <tuple>
+#include <unordered_map>
 
 namespace mhla::analysis {
 
 namespace {
 
 /// Key identifying a merge partition: same array, same nest, same fixed
-/// loop prefix (by node identity).
+/// loop prefix.  The prefix is keyed by each loop's preorder position in
+/// its nest, not by node address, so the partition order — and with it
+/// every candidate id — is a function of the program, not of heap layout.
 struct PartitionKey {
   std::string array;
   int nest;
-  std::vector<const ir::LoopNode*> prefix;
+  std::vector<int> prefix;
 
   bool operator<(const PartitionKey& o) const {
     return std::tie(array, nest, prefix) < std::tie(o.array, o.nest, o.prefix);
   }
 };
+
+/// Preorder position of every loop within its top-level nest.
+std::unordered_map<const ir::LoopNode*, int> loop_preorder(const ir::Program& program) {
+  std::unordered_map<const ir::LoopNode*, int> position;
+  for (const ir::NodePtr& top : program.top()) {
+    int next = 0;
+    auto visit = [&](auto& self, const ir::Node& node) -> void {
+      if (!node.is_loop()) return;
+      const ir::LoopNode& loop = node.as_loop();
+      position.emplace(&loop, next++);
+      for (const ir::NodePtr& child : loop.body()) self(self, *child);
+    };
+    visit(visit, *top);
+  }
+  return position;
+}
 
 /// Delta elements per refresh of the merged box, relative to the iterations
 /// of the innermost fixed loop.  If no member access moves along that loop,
@@ -51,14 +70,15 @@ i64 merged_delta(const Box& box, const std::vector<const AccessSite*>& members, 
 ReuseAnalysis ReuseAnalysis::run(const ir::Program& program, const std::vector<AccessSite>& sites) {
   ReuseAnalysis out;
   std::map<PartitionKey, std::vector<const AccessSite*>> partitions;
+  const std::unordered_map<const ir::LoopNode*, int> preorder = loop_preorder(program);
 
   for (const AccessSite& site : sites) {
     if (!site.array) continue;  // invalid programs are caught by validate()
+    PartitionKey key;
+    key.array = site.access->array;
+    key.nest = site.nest;
     for (std::size_t level = 0; level <= site.path.size(); ++level) {
-      PartitionKey key;
-      key.array = site.access->array;
-      key.nest = site.nest;
-      key.prefix.assign(site.path.begin(), site.path.begin() + static_cast<long>(level));
+      if (level > 0) key.prefix.push_back(preorder.at(site.path[level - 1]));
       partitions[key].push_back(&site);
     }
   }
@@ -119,9 +139,9 @@ ReuseAnalysis ReuseAnalysis::run(const ir::Program& program, const std::vector<A
     cc.elems = box.elems();
     cc.elem_bytes = array.elem_bytes;
     cc.bytes = box.elems() * array.elem_bytes;
-    cc.prefix.assign(key.prefix.begin(), key.prefix.end());
+    cc.prefix.assign(members.front()->path.begin(), members.front()->path.begin() + level);
     cc.transfers = 1;
-    for (const ir::LoopNode* loop : key.prefix) cc.transfers *= loop->trip();
+    for (const ir::LoopNode* loop : cc.prefix) cc.transfers *= loop->trip();
     cc.elems_per_transfer = merged_delta(box, members, level);
     cc.reads_served = reads;
     cc.writes_served = writes;
@@ -154,8 +174,9 @@ ReuseAnalysis ReuseAnalysis::run(const ir::Program& program, const std::vector<A
     out.candidates_.push_back(std::move(cc));
   }
 
-  // Stable, meaningful ordering: per array, per nest, outer to inner.
-  std::sort(out.candidates_.begin(), out.candidates_.end(),
+  // Stable, meaningful ordering: per array, per nest, outer to inner; ties
+  // keep the partition order.
+  std::stable_sort(out.candidates_.begin(), out.candidates_.end(),
             [](const CopyCandidate& a, const CopyCandidate& b) {
               return std::tie(a.array, a.nest, a.level) < std::tie(b.array, b.nest, b.level);
             });

@@ -49,6 +49,11 @@ void for_each_feasible_home(const AssignContext& ctx, const ir::ArrayDecl& array
 /// task's prefix costs about as much as searching the subtree in place.
 constexpr std::size_t kMinCopySplit = 8;
 
+/// Copy-phase nodes charged to the run budget per probe: often enough that
+/// an exponential copy phase cannot outrun a deadline or probe allowance,
+/// rare enough that an unbounded solve pays no per-node atomic.
+constexpr long kCopyNodesPerProbe = 64;
+
 /// Reference enumeration: from-scratch estimate_cost per state, no pruning
 /// beyond per-placement capacity.  Kept as the oracle the engine path is
 /// equivalence-tested against.
@@ -198,10 +203,12 @@ struct EngineSearch {
 
   /// Cooperative run budget (never null in practice: the entry points
   /// always resolve one, if only an unlimited local).  Probed once per
-  /// evaluated leaf and once per array-phase node; never affects any
-  /// decision unless it expires, so run-to-completion results are
-  /// bit-identical with or without a budget attached.
+  /// evaluated leaf, once per array-phase node and once per
+  /// kCopyNodesPerProbe copy-phase nodes; never affects any decision unless
+  /// it expires, so run-to-completion results are bit-identical with or
+  /// without a budget attached.
   core::RunBudget* run_budget = nullptr;
+  long uncharged_copy_nodes = 0;  ///< copy-phase nodes since the last charge
 
   /// Shared incumbent of a parallel search (null when serial).  Tasks
   /// publish every locally improving scalar and prune against it *strictly*
@@ -557,6 +564,13 @@ struct EngineSearch {
 
   void recurse_copies(std::size_t j, Bound bound) {
     if (budget_hit) return;
+    if (++uncharged_copy_nodes == kCopyNodesPerProbe) {
+      uncharged_copy_nodes = 0;
+      if (run_budget && !run_budget->probe(kCopyNodesPerProbe)) {
+        budget_hit = true;
+        return;
+      }
+    }
     if (bnb && prune(bound)) return;
 
     const auto& candidates = ctx.reuse.candidates();

@@ -1,6 +1,7 @@
 #include "core/json_report.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <exception>
 #include <iomanip>
@@ -107,19 +108,23 @@ long as_long(const Json& j) { return as_integer<long>(j); }
 ir::i64 as_i64(const Json& j) { return as_integer<ir::i64>(j); }
 unsigned as_unsigned(const Json& j) { return as_integer<unsigned>(j); }
 
+/// `%.<precision>g` into a stack buffer.  std::to_chars is specified as
+/// printf in the C locale, so the text equals the classic-locale
+/// `setprecision` stream byte for byte, without a stream per number and
+/// without snprintf's dependence on the process LC_NUMERIC.
+std::string format_general(double value, int precision) {
+  char buffer[32];  // "-d.dddddddddddddddde-308" needs 24
+  char* end =
+      std::to_chars(buffer, buffer + sizeof buffer, value, std::chars_format::general, precision)
+          .ptr;
+  return std::string(buffer, end);
+}
+
 }  // namespace
 
-std::string json_number(double value) {
-  std::ostringstream out = c_stream();
-  out << std::setprecision(15) << value;
-  return out.str();
-}
+std::string json_number(double value) { return format_general(value, 15); }
 
-std::string json_number_exact(double value) {
-  std::ostringstream out = c_stream();
-  out << std::setprecision(17) << value;
-  return out.str();
-}
+std::string json_number_exact(double value) { return format_general(value, 17); }
 
 std::string json_escape(const std::string& text) {
   std::string out;

@@ -95,8 +95,7 @@ void sync_parent_dir(const std::string& path) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 14695981039346656037ull;
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash) {
   for (unsigned char c : text) {
     hash ^= c;
     hash *= 1099511628211ull;

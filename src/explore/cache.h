@@ -3,18 +3,24 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "assign/search_status.h"
 #include "explore/pareto.h"
 
 namespace mhla::xplore {
 
+/// FNV-1a 64-bit offset basis: the hash of the empty string.
+inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ull;
+
 /// FNV-1a 64-bit hash of `text` — the canonical cache key primitive.  The
 /// explorer hashes the serialized program plus the cell's effective
 /// PipelineConfig JSON (thread count zeroed: parallelism must never change
 /// a key), so any change to the program, the platform models, the strategy
 /// or its options yields a fresh key and a stale cache can never serve it.
-std::uint64_t fnv1a64(const std::string& text);
+/// FNV-1a consumes bytes strictly left to right, so a hash resumes from a
+/// prefix's value: `fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)`.
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash = kFnv1a64Basis);
 
 /// One evaluated design-space cell: the cell coordinates (for human
 /// inspection and report tooling), the measured cost pair, and the outcome

@@ -1,10 +1,12 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include <cstdio>
@@ -30,6 +32,52 @@ struct CellIdx {
   std::size_t l1 = 0;
 
   friend auto operator<=>(const CellIdx&, const CellIdx&) = default;
+};
+
+/// Order of the searches cells need: (strategy, L2, L1), ignoring the TE
+/// variant, which only changes how the found assignment is simulated.
+bool search_before(const CellIdx& a, const CellIdx& b) {
+  return std::tie(a.strat, a.l2, a.l1) < std::tie(b.strat, b.l2, b.l1);
+}
+
+/// Search effort summed over an exploration's searches, flushed to the
+/// registry once per run under the counter names `Pipeline::run` uses.
+struct SearchTotals {
+  long states_explored = 0;
+  long evaluations = 0;
+  long bound_prunes = 0;
+  long capacity_prunes = 0;
+
+  SearchTotals& operator+=(const SearchTotals& other) {
+    states_explored += other.states_explored;
+    evaluations += other.evaluations;
+    bound_prunes += other.bound_prunes;
+    capacity_prunes += other.capacity_prunes;
+    return *this;
+  }
+};
+
+/// The wave's cache misses that share one search: TE variants of one
+/// (strategy, L2, L1).  Lives for one wave; the search result itself is
+/// dropped once the members are simulated, only its effort is kept.
+struct SearchGroup {
+  std::vector<std::size_t> members;  ///< wave positions, TE order
+  SearchTotals effort;
+};
+
+/// The program-level analyses every cell shares (hierarchy independent).
+/// Built in place and never moved: the analyses point into `sites`.
+struct ProgramAnalyses {
+  explicit ProgramAnalyses(const ir::Program& program)
+      : sites(analysis::collect_sites(program)),
+        reuse(analysis::ReuseAnalysis::run(program, sites)),
+        live(analysis::array_live_ranges(program, sites)),
+        deps(analysis::DependenceInfo::run(program, sites)) {}
+
+  std::vector<analysis::AccessSite> sites;
+  analysis::ReuseAnalysis reuse;
+  std::map<std::string, analysis::LiveRange> live;
+  analysis::DependenceInfo deps;
 };
 
 /// Seed indices of one axis: every `stride`-th point plus the last.
@@ -70,8 +118,9 @@ Explorer::Explorer(ExplorerConfig config) : config_(std::move(config)) {
   }
 }
 
-std::uint64_t design_cache_key(const std::string& program_text, core::PipelineConfig effective,
-                               bool with_te) {
+CellKeyer::CellKeyer(const std::string& program_text, core::PipelineConfig base)
+    : base_(std::move(base)),
+      program_hash_(fnv1a64("\x1f", fnv1a64(program_text))) {
   // The key covers everything that determines the cell's cost pair: the
   // program text and the *effective* pipeline document of the cell.  The
   // thread counts are zeroed and the bnb-par pruning knobs reset —
@@ -80,17 +129,35 @@ std::uint64_t design_cache_key(const std::string& program_text, core::PipelineCo
   // That guarantee assumes the state budget does not bind; budget-bound
   // search results are therefore never cached (the cache layer's status
   // guard enforces it), so every cached entry really is knob-independent.
-  effective.num_threads = 0;
-  effective.search.bnb_threads = 0;
-  effective.search.bnb_tasks_per_thread = assign::SearchOptions{}.bnb_tasks_per_thread;
-  effective.search.bnb_seed_incumbent = assign::SearchOptions{}.bnb_seed_incumbent;
+  base_.num_threads = 0;
+  base_.search.bnb_threads = 0;
+  base_.search.bnb_tasks_per_thread = assign::SearchOptions{}.bnb_tasks_per_thread;
+  base_.search.bnb_seed_incumbent = assign::SearchOptions{}.bnb_seed_incumbent;
   // The run budget is normalized away for the same reason: it cannot
   // change a completed result, and budget-truncated results are never
   // cached, so cached entries are shareable across deadline settings.
-  effective.search.budget = core::BudgetSpec{};
-  effective.search.shared_budget = nullptr;
-  return fnv1a64(program_text + '\x1f' + core::to_json(effective) + '\x1f' +
-                 (with_te ? "te" : "blocking"));
+  base_.search.budget = core::BudgetSpec{};
+  base_.search.shared_budget = nullptr;
+}
+
+std::uint64_t CellKeyer::config_hash(i64 l1_bytes, i64 l2_bytes,
+                                     const std::string& strategy) const {
+  core::PipelineConfig effective = base_;
+  effective.platform.l1_bytes = l1_bytes;
+  effective.platform.l2_bytes = l2_bytes;
+  effective.strategy = strategy;
+  return fnv1a64("\x1f", fnv1a64(core::to_json(effective), program_hash_));
+}
+
+std::uint64_t CellKeyer::cell_key(std::uint64_t config_hash, bool with_te) {
+  return fnv1a64(with_te ? "te" : "blocking", config_hash);
+}
+
+std::uint64_t design_cache_key(const std::string& program_text, core::PipelineConfig effective,
+                               bool with_te) {
+  DesignCell cell{effective.platform.l1_bytes, effective.platform.l2_bytes, effective.strategy,
+                  with_te};
+  return CellKeyer(program_text, std::move(effective)).key(cell);
 }
 
 ExploreResult Explorer::run(const ir::Program& program) const {
@@ -127,14 +194,13 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
   }
   core::RunBudget* run_budget = search.shared_budget;
 
-  // Program-level analyses are hierarchy independent; run them once and
-  // share them read-only across the worker pool (same as the fixed sweep).
-  std::vector<analysis::AccessSite> sites = analysis::collect_sites(program);
-  analysis::ReuseAnalysis reuse = analysis::ReuseAnalysis::run(program, sites);
-  std::map<std::string, analysis::LiveRange> live = analysis::array_live_ranges(program, sites);
-  analysis::DependenceInfo deps = analysis::DependenceInfo::run(program, sites);
-
   const std::string program_text = ir::serialize(program);
+  const CellKeyer keyer(program_text, config_.pipeline);
+
+  // Program-level analyses are hierarchy independent: built on the first
+  // wave with a cell to evaluate (a fully warm replay needs none) and
+  // shared read-only across the worker pool (same as the fixed sweep).
+  std::optional<ProgramAnalyses> analyses;
 
   auto cell_of = [&](const CellIdx& idx) {
     DesignCell cell;
@@ -144,50 +210,48 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
     cell.with_te = te_variants[idx.te];
     return cell;
   };
-  auto key_of = [&](const DesignCell& cell) {
-    // design_cache_key normalizes away everything that cannot change a
-    // completed result (threads, pruning knobs, the run budget); only the
-    // cell coordinates vary here.
-    core::PipelineConfig effective = config_.pipeline;
-    effective.platform.l1_bytes = cell.l1_bytes;
-    effective.platform.l2_bytes = cell.l2_bytes;
-    effective.strategy = cell.strategy;
-    return design_cache_key(program_text, std::move(effective), cell.with_te);
-  };
-  auto evaluate = [&](const DesignCell& cell, assign::SearchStatus& status) {
+  // One search per group: its cells differ only in the transfer mode, which
+  // the search never sees, so each member simulates the same assignment.
+  auto evaluate_group = [&](SearchGroup& group, std::vector<ExploreSample>& samples,
+                            std::vector<assign::SearchStatus>& statuses) {
+    const DesignCell& head = samples[group.members.front()].cell;
     mem::PlatformConfig platform = config_.pipeline.platform;
-    platform.l1_bytes = cell.l1_bytes;
-    platform.l2_bytes = cell.l2_bytes;
+    platform.l1_bytes = head.l1_bytes;
+    platform.l2_bytes = head.l2_bytes;
     mem::Hierarchy hierarchy = mem::make_hierarchy(platform);
-    assign::AssignContext ctx{program, sites, reuse,
-                              live,    deps,  hierarchy,
+    assign::AssignContext ctx{program,         analyses->sites, analyses->reuse,
+                              analyses->live,  analyses->deps,  hierarchy,
                               config_.pipeline.dma};
-    const assign::Searcher& strategy = assign::searcher(cell.strategy);
-    assign::SearchResult found = strategy.search(ctx, search);
-    // The cell's outcome rides into the cache entry; the cache layer's
-    // status guard refuses budget-truncated or infeasible results, so a
-    // degraded wave degrades only this run, never the persistent cache.
-    status = found.status;
+    const assign::SearchResult found = assign::searcher(head.strategy).search(ctx, search);
+    group.effort = {found.states_explored, found.evaluations, found.bound_prunes,
+                    found.capacity_prunes};
 
-    sim::SimOptions sim_options;
-    sim_options.mode = cell.with_te && config_.pipeline.dma.present
-                           ? te::TransferMode::TimeExtended
-                           : te::TransferMode::Blocking;
-    sim_options.te = config_.pipeline.te;
-    sim::SimResult sim = sim::simulate(ctx, found.assignment, sim_options);
+    for (std::size_t w : group.members) {
+      const DesignCell& cell = samples[w].cell;
+      // The cell's outcome rides into the cache entry; the cache layer's
+      // status guard refuses budget-truncated or infeasible results, so a
+      // degraded wave degrades only this run, never the persistent cache.
+      statuses[w] = found.status;
+      sim::SimOptions sim_options;
+      sim_options.mode = cell.with_te && config_.pipeline.dma.present
+                             ? te::TransferMode::TimeExtended
+                             : te::TransferMode::Blocking;
+      sim_options.te = config_.pipeline.te;
+      sim::SimResult sim = sim::simulate(ctx, found.assignment, sim_options);
 
-    TradeoffPoint point;
-    point.l1_bytes = cell.l1_bytes;
-    point.l2_bytes = cell.l2_bytes;
-    point.cycles = sim.total_cycles();
-    point.energy_nj = sim.energy_nj;
-    return point;
+      TradeoffPoint& point = samples[w].point;
+      point.l1_bytes = cell.l1_bytes;
+      point.l2_bytes = cell.l2_bytes;
+      point.cycles = sim.total_cycles();
+      point.energy_nj = sim.energy_nj;
+    }
   };
 
   ExploreResult result;
   result.lattice_cells =
       l1_axis.size() * l2_axis.size() * config_.strategies.size() * te_variants.size();
 
+  SearchTotals totals;
   std::set<CellIdx> scheduled;  ///< seeded or queued for refinement
   std::set<CellIdx> sampled;    ///< has a sample (evaluated or cache-served)
   std::vector<CellIdx> sample_idx;  ///< aligned with result.samples
@@ -229,17 +293,39 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
     const std::size_t prev_count = result.samples.size();
     obs::Span wave_span("wave", "explore");
 
-    // Serve what the cache already knows; collect the rest for evaluation.
+    // Order the wave by (strategy, L2, L1): the TE variants of one search
+    // become neighbors (the stable sort keeps them in TE order) and share
+    // the config hash that keys them.
+    std::vector<std::size_t> by_search(wave.size());
+    std::iota(by_search.begin(), by_search.end(), std::size_t{0});
+    std::stable_sort(by_search.begin(), by_search.end(), [&](std::size_t a, std::size_t b) {
+      return search_before(wave[a], wave[b]);
+    });
     std::vector<ExploreSample> wave_samples(wave.size());
     std::vector<std::uint64_t> keys(wave.size());
-    std::vector<std::size_t> pending;
+    std::vector<std::size_t> search_ends;  ///< end of each search's run in by_search
+    for (std::size_t begin = 0; begin < by_search.size();) {
+      const CellIdx& head = wave[by_search[begin]];
+      std::size_t end = begin + 1;
+      while (end < by_search.size() && !search_before(head, wave[by_search[end]])) ++end;
+      const std::uint64_t config_hash = keyer.config_hash(
+          l1_axis[head.l1], l2_axis[head.l2], config_.strategies[head.strat]);
+      for (std::size_t k = begin; k < end; ++k) {
+        const std::size_t w = by_search[k];
+        wave_samples[w].cell = cell_of(wave[w]);
+        keys[w] = CellKeyer::cell_key(config_hash, wave_samples[w].cell.with_te);
+      }
+      search_ends.push_back(end);
+      begin = end;
+    }
+
+    // Serve what the cache already knows, looked up in wave order (a
+    // bounded LRU store's recency is the same as for per-cell evaluation).
+    std::vector<bool> missed(wave.size(), false);
     for (std::size_t w = 0; w < wave.size(); ++w) {
-      DesignCell cell = cell_of(wave[w]);
-      keys[w] = key_of(cell);
+      ExploreSample& sample = wave_samples[w];
       CacheEntry cached;
       if (cache.lookup(keys[w], cached)) {
-        ExploreSample& sample = wave_samples[w];
-        sample.cell = std::move(cell);
         sample.point.l1_bytes = sample.cell.l1_bytes;
         sample.point.l2_bytes = sample.cell.l2_bytes;
         sample.point.cycles = cached.cycles;
@@ -247,21 +333,37 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
         sample.from_cache = true;
         ++result.cache_hits;
       } else {
-        wave_samples[w].cell = std::move(cell);
-        pending.push_back(w);
+        missed[w] = true;
       }
     }
 
-    std::vector<assign::SearchStatus> statuses(wave.size(), assign::SearchStatus::Feasible);
-    core::parallel_for(pending.size(), config_.pipeline.num_threads, [&](std::size_t p) {
-      std::size_t w = pending[p];
-      wave_samples[w].point = evaluate(wave_samples[w].cell, statuses[w]);
-    });
-    result.evaluations += pending.size();
+    // The misses of one search form its group.
+    std::vector<SearchGroup> groups;  ///< groups with at least one cache miss
+    std::size_t evaluated = 0;
+    std::size_t begin = 0;
+    for (std::size_t end : search_ends) {
+      SearchGroup group;
+      for (std::size_t k = begin; k < end; ++k) {
+        if (missed[by_search[k]]) group.members.push_back(by_search[k]);
+      }
+      evaluated += group.members.size();
+      if (!group.members.empty()) groups.push_back(std::move(group));
+      begin = end;
+    }
 
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      std::size_t w = pending[p];
+    if (!groups.empty() && !analyses) analyses.emplace(program);
+    std::vector<assign::SearchStatus> statuses(wave.size(), assign::SearchStatus::Feasible);
+    core::parallel_for(groups.size(), config_.pipeline.num_threads, [&](std::size_t g) {
+      evaluate_group(groups[g], wave_samples, statuses);
+    });
+    result.evaluations += evaluated;
+    result.searches += groups.size();
+    for (const SearchGroup& group : groups) totals += group.effort;
+
+    // Inserts go in wave order, as single-cell evaluation made them.
+    for (std::size_t w = 0; w < wave.size(); ++w) {
       const ExploreSample& sample = wave_samples[w];
+      if (sample.from_cache) continue;
       CacheEntry entry;
       entry.l1_bytes = sample.cell.l1_bytes;
       entry.l2_bytes = sample.cell.l2_bytes;
@@ -318,8 +420,8 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
       char args[160];
       std::snprintf(args, sizeof args,
                     "{\"cells\": %zu, \"cache_served\": %zu, \"evaluated\": %zu, "
-                    "\"frontier\": %zu}",
-                    wave.size(), wave.size() - pending.size(), pending.size(),
+                    "\"searches\": %zu, \"frontier\": %zu}",
+                    wave.size(), wave.size() - evaluated, evaluated, groups.size(),
                     result.frontier.size());
       wave_span.set_args(args);
     }
@@ -397,6 +499,11 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
   registry.counter("explore.cells_evaluated").add(result.evaluations);
   registry.counter("explore.cells_cache_served").add(result.cache_hits);
   registry.gauge("explore.frontier_size").set(static_cast<std::int64_t>(result.frontier.size()));
+  registry.counter("search.states_explored").add(totals.states_explored);
+  registry.counter("search.bound_prunes").add(totals.bound_prunes);
+  registry.counter("search.capacity_prunes").add(totals.capacity_prunes);
+  registry.counter("search.evaluations").add(totals.evaluations);
+  if (local_budget) registry.counter("search.budget_probes").add(local_budget->probes());
   return result;
 }
 

@@ -103,7 +103,8 @@ struct ExploreResult {
   /// the strategy / TE setting that achieved the point matters too.
   std::vector<DesignCell> frontier_cells;
   std::size_t lattice_cells = 0;    ///< full fine-lattice cell count
-  std::size_t evaluations = 0;      ///< pipeline runs actually performed
+  std::size_t evaluations = 0;      ///< cells evaluated (cache misses simulated)
+  std::size_t searches = 0;         ///< searches run: one per (strategy, L2, L1) of a wave
   std::size_t cache_hits = 0;
   std::size_t rounds = 0;           ///< seed wave + refinement waves
   bool budget_exhausted = false;
@@ -116,7 +117,8 @@ struct ExploreResult {
 /// each wave on a `core::parallel_for` pool (`config.pipeline.num_threads`)
 /// and consults/extends the persistent result cache around every wave, so
 /// repeated or sharded explorations of the same (program, config) skip all
-/// previously evaluated cells.
+/// previously evaluated cells.  A wave runs one search per (strategy, L2,
+/// L1): the TE variants of a cell share it and differ only in simulation.
 class Explorer {
  public:
   /// Canonicalizes the axes and validates every strategy name against the
@@ -151,6 +153,35 @@ class Explorer {
 /// an explore-warmed cache answers matching submits and vice versa.
 std::uint64_t design_cache_key(const std::string& program_text,
                                core::PipelineConfig effective, bool with_te);
+
+/// Incremental `design_cache_key` over the cells of one (program, base
+/// config).  The key is FNV-1a over `program + '\x1f' + config document +
+/// '\x1f' + transfer mode`, and FNV-1a resumes from a prefix's hash, so
+/// each prefix is hashed once: the program once per keyer, the normalized
+/// config document once per (L1, L2, strategy) — both TE variants share
+/// it — and only the "te"/"blocking" suffix per cell.  `design_cache_key`
+/// is this keyer applied to one cell, so the key has one definition.
+class CellKeyer {
+ public:
+  /// `base` is normalized like `design_cache_key`'s `effective`; its layer
+  /// sizes and strategy are replaced per cell.
+  CellKeyer(const std::string& program_text, core::PipelineConfig base);
+
+  /// Hash of the program and of the config document of one layer-size /
+  /// strategy combination: the common prefix of its TE variants' keys.
+  std::uint64_t config_hash(i64 l1_bytes, i64 l2_bytes, const std::string& strategy) const;
+
+  /// Finish a `config_hash` with the transfer mode: the cell's cache key.
+  static std::uint64_t cell_key(std::uint64_t config_hash, bool with_te);
+
+  std::uint64_t key(const DesignCell& cell) const {
+    return cell_key(config_hash(cell.l1_bytes, cell.l2_bytes, cell.strategy), cell.with_te);
+  }
+
+ private:
+  core::PipelineConfig base_;   ///< normalized
+  std::uint64_t program_hash_;  ///< FNV-1a of program_text + '\x1f'
+};
 
 /// Explorer counterpart of `default_sweep()`: the same L1/L2 lattice
 /// (L1 256 B..64 KiB powers of two, L2 {0, 64 KiB, 256 KiB}) with coarse

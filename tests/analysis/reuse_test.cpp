@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "apps/registry.h"
+#include "core/pipeline.h"
 #include "ir/builder.h"
 
 namespace mhla::analysis {
@@ -173,6 +177,51 @@ TEST(Reuse, ElemBytesPropagated) {
   const CopyCandidate* cc = find_cc(an.reuse, "a", 0, 0);
   EXPECT_EQ(cc->elem_bytes, 2);
   EXPECT_EQ(cc->bytes_per_transfer(), cc->elems_per_transfer * 2);
+}
+
+/// Everything a copy candidate carries, with the fixed loops named by
+/// their iterators instead of their node addresses.
+std::string describe(const CopyCandidate& cc) {
+  std::string text = std::to_string(cc.id) + " " + cc.array + " n" + std::to_string(cc.nest) +
+                     " l" + std::to_string(cc.level) + " b" + std::to_string(cc.bytes) + " t" +
+                     std::to_string(cc.transfers) + " e" + std::to_string(cc.elems_per_transfer) +
+                     " sites";
+  for (int site : cc.site_ids) text += " " + std::to_string(site);
+  text += " prefix";
+  for (const ir::LoopNode* loop : cc.prefix) text += " " + loop->iter();
+  return text;
+}
+
+TEST(Reuse, CandidateIdsDoNotFollowHeapLayout) {
+  // Two fresh workspaces of the same program, the second built while the
+  // heap is fragmented differently, must number their candidates the same
+  // and therefore drive the greedy search through the same evaluations.
+  core::PipelineConfig config;
+  config.platform.l1_bytes = 16 * 1024;
+  config.platform.l2_bytes = 256 * 1024;
+  const core::Pipeline pipeline(config);
+  for (const apps::AppInfo& app : apps::all_apps()) {
+    std::unique_ptr<core::Workspace> first =
+        core::make_workspace(app.build(), config.platform, config.dma);
+    std::vector<std::unique_ptr<char[]>> noise;
+    for (std::size_t i = 0; i < 512; ++i) {
+      noise.push_back(std::make_unique<char[]>(16 + (i * 37) % 240));
+    }
+    for (std::size_t i = 0; i < noise.size(); i += 2) noise[i].reset();
+    std::unique_ptr<core::Workspace> second =
+        core::make_workspace(app.build(), config.platform, config.dma);
+
+    const std::vector<CopyCandidate>& a = first->reuse().candidates();
+    const std::vector<CopyCandidate>& b = second->reuse().candidates();
+    ASSERT_EQ(a.size(), b.size()) << app.name;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(describe(a[i]), describe(b[i])) << app.name << " candidate " << i;
+    }
+    core::PipelineResult run_a = pipeline.run(*first);
+    core::PipelineResult run_b = pipeline.run(*second);
+    EXPECT_EQ(run_a.search.evaluations, run_b.search.evaluations) << app.name;
+    EXPECT_EQ(run_a.search.scalar, run_b.search.scalar) << app.name;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+
 #include "assign/greedy.h"
+#include "core/driver.h"
+#include "gen/random_program.h"
 #include "helpers.h"
 
 namespace mhla::assign {
@@ -137,6 +142,32 @@ TEST(Exhaustive, StateBudgetIsHonored) {
   ExhaustiveResult result = exhaustive_assign(ctx, options);
   EXPECT_TRUE(result.exhausted_budget);
   EXPECT_LE(result.states_explored, 3);
+}
+
+TEST(Exhaustive, CopyPhaseHonorsTheProbeBudget) {
+  // An instance whose copy phase is almost all of the work: unbounded, bnb
+  // needs seconds and tens of millions of copy-phase nodes for a few
+  // hundred leaves, so a budget charged only at leaves and array-phase
+  // nodes would never bind in time.
+  gen::RandomProgramConfig shape;
+  shape.max_nests = 4;
+  shape.max_arrays = 5;
+  auto ws = core::make_workspace(gen::random_program(4047144048u, shape));
+  auto ctx = ws->context();
+
+  SearchOptions bounded;
+  bounded.budget.max_probes = 10000;
+  auto start = std::chrono::steady_clock::now();
+  SearchResult result = searcher("bnb").search(ctx, bounded);
+  double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+
+  EXPECT_LT(seconds, 0.5);
+  EXPECT_EQ(result.status, SearchStatus::BudgetExhausted);
+  EXPECT_TRUE(fits(ctx, result.assignment));
+  EXPECT_GE(result.gap, 0.0);
+  EXPECT_TRUE(std::isfinite(result.gap));
+  EXPECT_LE(result.lower_bound, result.scalar);
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iomanip>
+#include <limits>
+#include <locale>
+#include <sstream>
+
 #include "assign/greedy.h"
 #include "helpers.h"
 
@@ -39,6 +45,35 @@ TEST(JsonEscape, SpecialCharacters) {
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb"), "a\\nb");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+}
+
+/// Classic-locale `setprecision` stream formatting: the oracle the JSON
+/// number emitters must match byte for byte.
+std::string stream_number(double value, int precision) {
+  std::ostringstream out;
+  out.imbue(std::locale::classic());
+  out << std::setprecision(precision) << value;
+  return out.str();
+}
+
+TEST(JsonNumber, MatchesTheClassicStreamOnAnEdgeCorpus) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> corpus = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 2.0 / 3.0, 123456.789, 1e15, 1e16, 1e17, 1e-5,
+      1e-4, 1e300, -1e300, 1e-300, -1e-300, limits::max(), -limits::max(), limits::min(),
+      limits::denorm_min(), -limits::denorm_min(), limits::min() / 3.0,
+      limits::infinity(), -limits::infinity(), limits::quiet_NaN(), -limits::quiet_NaN(),
+      9007199254740992.0,   // 2^53
+      9007199254740993.0,   // 2^53 + 1 (rounds to 2^53)
+      9007199254740994.0,   // 2^53 + 2
+      18446744073709551616.0,  // 2^64
+      123456789012345678.0, 4.9406564584124654e-324, 2.2250738585072014e-308,
+      0.30000000000000004, 5e-324, 1.7976931348623157e308};
+  for (int i = -20; i <= 20; ++i) corpus.push_back(std::ldexp(1.0, i * 50) * 1.1);
+  for (double value : corpus) {
+    EXPECT_EQ(json_number(value), stream_number(value, 15)) << stream_number(value, 17);
+    EXPECT_EQ(json_number_exact(value), stream_number(value, 17)) << stream_number(value, 17);
+  }
 }
 
 TEST(JsonReport, SimResultIsWellFormed) {

@@ -4,13 +4,25 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
+#include "analysis/dependence.h"
+#include "analysis/lifetime.h"
+#include "analysis/reuse.h"
+#include "analysis/sites.h"
 #include "apps/registry.h"
+#include "core/json_report.h"
 #include "explore/corpus.h"
 #include "explore/sweep.h"
+#include "gen/random_program.h"
 #include "helpers.h"
+#include "ir/serialize.h"
+#include "obs/metrics.h"
+#include "sim/simulator.h"
 
 namespace mhla::xplore {
 namespace {
@@ -356,6 +368,155 @@ TEST(Explorer, CacheKeysSeparateProgramsAndConfigs) {
   ExploreResult par_key = Explorer(par_knobs).run(testing::blocked_reuse_program());
   EXPECT_EQ(par_key.evaluations, 0u);
   std::remove(path.c_str());
+}
+
+/// The cache key as first defined, hashed from scratch per cell: FNV-1a
+/// over program text, normalized config document and transfer mode.  The
+/// oracle pins the on-disk key format, so caches written before the
+/// incremental keyer keep answering.
+std::uint64_t from_scratch_key(const std::string& program_text, core::PipelineConfig effective,
+                               bool with_te) {
+  effective.num_threads = 0;
+  effective.search.bnb_threads = 0;
+  effective.search.bnb_tasks_per_thread = assign::SearchOptions{}.bnb_tasks_per_thread;
+  effective.search.bnb_seed_incumbent = assign::SearchOptions{}.bnb_seed_incumbent;
+  effective.search.budget = core::BudgetSpec{};
+  effective.search.shared_budget = nullptr;
+  return fnv1a64(program_text + '\x1f' + core::to_json(effective) + '\x1f' +
+                 (with_te ? "te" : "blocking"));
+}
+
+TEST(CellKeyer, MatchesTheFromScratchKeyOnEveryDefaultLatticeCell) {
+  ExplorerConfig lattice = default_explorer();
+  core::PipelineConfig base;
+  base.num_threads = 4;                   // normalized away...
+  base.search.budget.max_probes = 1000;   // ...as is the run budget
+  base.search.anneal_iterations = 321;    // part of the key
+  for (const ir::Program& program :
+       {apps::build_app("conv_filter"), apps::build_app("jpeg_compress"),
+        gen::random_program(7)}) {
+    const std::string text = ir::serialize(program);
+    const CellKeyer keyer(text, base);
+    for (const char* strategy : {"greedy", "anneal"}) {
+      for (i64 l2 : lattice.l2_axis) {
+        for (i64 l1 : lattice.l1_axis) {
+          for (bool with_te : {false, true}) {
+            core::PipelineConfig effective = base;
+            effective.platform.l1_bytes = l1;
+            effective.platform.l2_bytes = l2;
+            effective.strategy = strategy;
+            const DesignCell cell{l1, l2, strategy, with_te};
+            const std::uint64_t want = from_scratch_key(text, effective, with_te);
+            EXPECT_EQ(keyer.key(cell), want) << program.name() << " " << strategy << " " << l1;
+            EXPECT_EQ(design_cache_key(text, effective, with_te), want) << program.name();
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Single-cell evaluation, one search per cell: the oracle the explorer's
+/// grouped waves (one search per TE pair) must reproduce bit for bit.
+TradeoffPoint evaluate_cell_alone(const ir::Program& program, const ExplorerConfig& config,
+                                  const DesignCell& cell) {
+  std::vector<analysis::AccessSite> sites = analysis::collect_sites(program);
+  analysis::ReuseAnalysis reuse = analysis::ReuseAnalysis::run(program, sites);
+  std::map<std::string, analysis::LiveRange> live = analysis::array_live_ranges(program, sites);
+  analysis::DependenceInfo deps = analysis::DependenceInfo::run(program, sites);
+  mem::PlatformConfig platform = config.pipeline.platform;
+  platform.l1_bytes = cell.l1_bytes;
+  platform.l2_bytes = cell.l2_bytes;
+  mem::Hierarchy hierarchy = mem::make_hierarchy(platform);
+  assign::AssignContext ctx{program, sites, reuse, live, deps, hierarchy, config.pipeline.dma};
+  assign::SearchOptions search = config.pipeline.search;
+  search.set_target(config.pipeline.target);
+  assign::SearchResult found = assign::searcher(cell.strategy).search(ctx, search);
+  sim::SimOptions sim_options;
+  sim_options.mode = cell.with_te && config.pipeline.dma.present ? te::TransferMode::TimeExtended
+                                                                 : te::TransferMode::Blocking;
+  sim_options.te = config.pipeline.te;
+  sim::SimResult sim = sim::simulate(ctx, found.assignment, sim_options);
+  return {cell.l1_bytes, cell.l2_bytes, sim.total_cycles(), sim.energy_nj};
+}
+
+TEST(Explorer, GroupedSearchesMatchPerCellEvaluation) {
+  ExplorerConfig config = default_explorer();
+  config.strategies = {"greedy", "anneal"};
+  config.pipeline.search.anneal_iterations = 200;
+  config.explore_te = true;
+  for (const ir::Program& program : {apps::build_app("conv_filter"), gen::random_program(8)}) {
+    std::vector<TradeoffPoint> oracle;
+    for (unsigned threads : {1u, 4u}) {
+      config.pipeline.num_threads = threads;
+      ExploreResult result = Explorer(config).run(program);
+      ASSERT_FALSE(result.samples.empty());
+      // Both TE variants of a (strategy, L2, L1) share one search.
+      EXPECT_LT(result.searches, result.evaluations) << program.name();
+      if (oracle.empty()) {
+        for (const ExploreSample& sample : result.samples) {
+          oracle.push_back(evaluate_cell_alone(program, config, sample.cell));
+        }
+      }
+      ASSERT_EQ(result.samples.size(), oracle.size()) << program.name() << " threads " << threads;
+      for (std::size_t i = 0; i < oracle.size(); ++i) {
+        EXPECT_EQ(result.samples[i].point.cycles, oracle[i].cycles) << program.name() << " " << i;
+        EXPECT_EQ(result.samples[i].point.energy_nj, oracle[i].energy_nj)
+            << program.name() << " " << i;
+      }
+      std::vector<TradeoffPoint> front = pareto_front(oracle);
+      ASSERT_EQ(result.frontier.size(), front.size()) << program.name();
+      for (std::size_t i = 0; i < front.size(); ++i) {
+        EXPECT_EQ(result.frontier[i].l1_bytes, front[i].l1_bytes);
+        EXPECT_EQ(result.frontier[i].l2_bytes, front[i].l2_bytes);
+        EXPECT_EQ(result.frontier[i].cycles, front[i].cycles);
+        EXPECT_EQ(result.frontier[i].energy_nj, front[i].energy_nj);
+      }
+    }
+  }
+}
+
+TEST(Explorer, FlushesItsSearchCountersOncePerExploration) {
+  ExplorerConfig config = small_config();
+  config.strategies = {"greedy", "bnb"};
+  config.explore_te = true;
+  const ir::Program program = testing::blocked_reuse_program();
+
+  obs::Registry& registry = obs::Registry::instance();
+  const std::uint64_t evaluations_before = registry.counter("search.evaluations").value();
+  const std::uint64_t states_before = registry.counter("search.states_explored").value();
+  ExploreResult result = Explorer(config).run(program);
+  const std::uint64_t evaluations = registry.counter("search.evaluations").value() -
+                                    evaluations_before;
+  const std::uint64_t states = registry.counter("search.states_explored").value() - states_before;
+
+  // One search per distinct (strategy, L2, L1) evaluated; its effort is
+  // what the exploration must have added to the registry.
+  std::set<std::tuple<std::string, i64, i64>> searched;
+  std::uint64_t want_evaluations = 0;
+  std::uint64_t want_states = 0;
+  for (const ExploreSample& sample : result.samples) {
+    if (!searched.emplace(sample.cell.strategy, sample.cell.l2_bytes, sample.cell.l1_bytes)
+             .second) {
+      continue;
+    }
+    mem::PlatformConfig platform = config.pipeline.platform;
+    platform.l1_bytes = sample.cell.l1_bytes;
+    platform.l2_bytes = sample.cell.l2_bytes;
+    auto ws = testing::make_ws(testing::blocked_reuse_program(), platform);
+    assign::SearchOptions search = config.pipeline.search;
+    search.set_target(config.pipeline.target);
+    assign::SearchResult found =
+        assign::searcher(sample.cell.strategy).search(ws->context(), search);
+    want_evaluations += static_cast<std::uint64_t>(found.evaluations);
+    want_states += static_cast<std::uint64_t>(found.states_explored);
+  }
+  EXPECT_EQ(result.searches, searched.size());
+  EXPECT_EQ(result.evaluations, 2 * searched.size());
+  EXPECT_GT(want_evaluations, 0u);
+  EXPECT_GT(want_states, 0u);
+  EXPECT_EQ(evaluations, want_evaluations);
+  EXPECT_EQ(states, want_states);
 }
 
 TEST(Corpus, ExploresEveryMemberAndAggregatesCounters) {
