@@ -1,7 +1,7 @@
 // Search-engine scaling: how fast the MHLA step-1 searches run with the
 // incremental CostEngine (apply/undo delta evaluation + branch-and-bound)
-// versus the from-scratch estimate_cost path, and how the layer-size sweep
-// scales across worker threads.
+// versus the from-scratch estimate_cost oracles of tests/oracles/, and how
+// the layer-size sweep scales across worker threads.
 //
 // The reproduction block prints per-app wall-clock and evaluation-rate
 // comparisons plus a machine-readable JSON object; the google-benchmark
@@ -23,6 +23,7 @@
 #include "core/json_report.h"
 #include "core/parallel_for.h"
 #include "ir/builder.h"
+#include "oracles/oracles.h"
 
 // ---- binary-wide allocation counter for the data-layout block -------------
 // Replacing the global operator new/delete with counting forms lets the
@@ -86,9 +87,9 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Medium instance both exhaustive paths accept (20 placements, well under
-/// the reference guard) whose search space exceeds the rate-measurement
-/// budget, so throughput is compared over an identical state count.
+/// Medium instance both exhaustive searches accept (20 placements, well
+/// under the oracle's guard) whose search space exceeds the
+/// rate-measurement budget.
 ir::Program rate_program() {
   ir::ProgramBuilder pb("rate");
   pb.array("a", {32, 16}, 4).input();
@@ -159,8 +160,6 @@ struct FeasibilityRow {
   long probes = 0;          ///< fits() calls per timed pass
   double scratch_s = 0.0;   ///< from-scratch compute_footprints per probe
   double tracker_s = 0.0;   ///< FootprintTracker place/feasible/undo per probe
-  double greedy_scratch_s = 0.0;  ///< greedy end-to-end, scratch fits()
-  double greedy_tracker_s = 0.0;  ///< greedy end-to-end, tracker fits()
 };
 
 /// The greedy hot loop distilled: probe "would this copy placement still
@@ -212,36 +211,21 @@ FeasibilityRow measure_feasibility(const apps::AppInfo& info) {
   if (verdicts_scratch != verdicts_tracker) {
     std::cout << "WARNING: feasibility verdict mismatch on " << info.name << "\n";
   }
-
-  assign::SearchOptions scratch_options;
-  scratch_options.use_footprint_tracker = false;
-  t0 = Clock::now();
-  assign::SearchResult slow = assign::searcher("greedy").search(ctx, scratch_options);
-  row.greedy_scratch_s = seconds_since(t0);
-  t0 = Clock::now();
-  assign::SearchResult fast = assign::searcher("greedy").search(ctx, {});
-  row.greedy_tracker_s = seconds_since(t0);
-  if (fast.scalar != slow.scalar || !(fast.assignment == slow.assignment)) {
-    std::cout << "WARNING: tracker/scratch greedy mismatch on " << info.name << "\n";
-  }
   return row;
 }
 
 struct DataLayoutRow {
   std::string app;
-  long moves = 0;              ///< accepted greedy moves (identical both paths)
+  long moves = 0;              ///< accepted greedy moves
   double batched_s = 0.0;      ///< greedy end-to-end, batched round scoring
-  double per_candidate_s = 0.0;  ///< greedy end-to-end, apply/undo per candidate
   long steady_allocs = 0;      ///< heap allocations across one full move replay
   long allocs_per_move = 0;    ///< steady_allocs / moves (CI asserts 0)
 };
 
-/// The data-layout measurements: greedy end-to-end under batched round
-/// scoring versus the per-candidate checkpoint/apply/undo cycle (identical
-/// walks, so the wall-clock ratio is pure scoring cost), and the
-/// steady-state heap-allocation count of replaying the accepted move trail
-/// on a warmed-up engine (the SoA tables, scorer scratch, and arena journals
-/// make it zero by construction).
+/// The data-layout measurements: greedy end-to-end (batched round scoring),
+/// and the steady-state heap-allocation count of replaying the accepted
+/// move trail on a warmed-up engine (the SoA tables, scorer scratch, and
+/// arena journals make it zero by construction).
 DataLayoutRow measure_data_layout(const apps::AppInfo& info) {
   DataLayoutRow row;
   row.app = info.name;
@@ -249,25 +233,12 @@ DataLayoutRow measure_data_layout(const apps::AppInfo& info) {
   auto ctx = ws->context();
 
   constexpr int kRepeats = 10;
-  assign::SearchOptions batched_options;  // batched scoring is the default
-  assign::SearchOptions per_candidate_options;
-  per_candidate_options.greedy_batched_scoring = false;
-
   assign::SearchResult batched;
   auto t0 = Clock::now();
   for (int rep = 0; rep < kRepeats; ++rep) {
-    batched = assign::searcher("greedy").search(ctx, batched_options);
+    batched = assign::searcher("greedy").search(ctx, {});
   }
   row.batched_s = seconds_since(t0) / kRepeats;
-  assign::SearchResult per_candidate;
-  t0 = Clock::now();
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    per_candidate = assign::searcher("greedy").search(ctx, per_candidate_options);
-  }
-  row.per_candidate_s = seconds_since(t0) / kRepeats;
-  if (batched.scalar != per_candidate.scalar || batched.moves.size() != per_candidate.moves.size()) {
-    std::cout << "WARNING: batched/per-candidate greedy mismatch on " << info.name << "\n";
-  }
   row.moves = static_cast<long>(batched.moves.size());
 
   // Steady-state allocations: replay the accepted trail on a prebuilt
@@ -312,13 +283,13 @@ void print_scaling_report() {
     assign::SearchOptions options;
 
     auto t0 = Clock::now();
-    assign::SearchResult slow = assign::searcher("greedy-ref").search(ctx, options);
+    assign::GreedyResult slow = oracles::greedy_reference(ctx);
     double reference_s = seconds_since(t0);
     t0 = Clock::now();
     assign::SearchResult fast = assign::searcher("greedy").search(ctx, options);
     double engine_s = seconds_since(t0);
 
-    if (fast.scalar != slow.scalar) {
+    if (fast.scalar != slow.final_scalar) {
       std::cout << "WARNING: engine/reference scalar mismatch on " << info.name << "\n";
     }
     rows.push_back({info.name, reference_s, engine_s, fast.evaluations});
@@ -331,41 +302,31 @@ void print_scaling_report() {
 
   // --- Feasibility: tracker-backed fits() vs the from-scratch rebuild, on
   // the two largest apps (where fits() dominated greedy's per-candidate
-  // cost), plus greedy end-to-end with each feasibility path.
+  // cost).
   std::vector<FeasibilityRow> feasibility;
-  core::Table feas_table({"application", "probes", "scratch ms", "tracker ms", "fits speedup",
-                          "greedy scratch ms", "greedy tracker ms", "greedy speedup"});
+  core::Table feas_table({"application", "probes", "scratch ms", "tracker ms", "fits speedup"});
   for (const apps::AppInfo& info : apps::all_apps()) {
     if (info.name != "motion_estimation" && info.name != "mpeg2_encoder") continue;
     FeasibilityRow row = measure_feasibility(info);
     feas_table.add_row(
         {row.app, std::to_string(row.probes), core::Table::num(row.scratch_s * 1e3, 2),
          core::Table::num(row.tracker_s * 1e3, 2),
-         core::Table::num(row.scratch_s / (row.tracker_s > 0 ? row.tracker_s : 1e-9), 1) + "x",
-         core::Table::num(row.greedy_scratch_s * 1e3, 2),
-         core::Table::num(row.greedy_tracker_s * 1e3, 2),
-         core::Table::num(
-             row.greedy_scratch_s / (row.greedy_tracker_s > 0 ? row.greedy_tracker_s : 1e-9), 2) +
-             "x"});
+         core::Table::num(row.scratch_s / (row.tracker_s > 0 ? row.tracker_s : 1e-9), 1) + "x"});
     feasibility.push_back(std::move(row));
   }
   std::cout << "feasibility (fits() probes on the final greedy assignment):\n"
             << feas_table.str() << "\n";
 
-  // --- Data layout: batched round scoring vs per-candidate apply/undo, and
-  // the steady-state allocation count of the engine move loop (zero once the
+  // --- Data layout: greedy with batched round scoring, and the
+  // steady-state allocation count of the engine move loop (zero once the
   // setup-time reservations hold; the CI bench smoke asserts it).
   std::vector<DataLayoutRow> data_layout;
-  core::Table dl_table({"application", "moves", "per-cand ms", "batched ms", "speedup",
-                        "batched moves/s", "allocs/move"});
+  core::Table dl_table({"application", "moves", "batched ms", "batched moves/s", "allocs/move"});
   for (const apps::AppInfo& info : apps::all_apps()) {
     if (info.name != "motion_estimation" && info.name != "mpeg2_encoder") continue;
     DataLayoutRow row = measure_data_layout(info);
     dl_table.add_row(
-        {row.app, std::to_string(row.moves), core::Table::num(row.per_candidate_s * 1e3, 3),
-         core::Table::num(row.batched_s * 1e3, 3),
-         core::Table::num(row.per_candidate_s / (row.batched_s > 0 ? row.batched_s : 1e-9), 2) +
-             "x",
+        {row.app, std::to_string(row.moves), core::Table::num(row.batched_s * 1e3, 3),
          core::Table::num(row.moves / (row.batched_s > 0 ? row.batched_s : 1e-9), 0),
          std::to_string(row.allocs_per_move)});
     data_layout.push_back(std::move(row));
@@ -373,38 +334,29 @@ void print_scaling_report() {
   std::cout << "data layout (batched round scoring + arena journals):\n"
             << dl_table.str() << "\n";
 
-  // --- Exhaustive throughput: the mirror mode replays the reference DFS
-  // state for state (identical states_explored under the same budget), so
-  // states/sec isolates the per-state evaluation cost.  Branch-and-bound is
-  // then measured on top of the engine, and on a medium instance only the
-  // raised guard admits.
+  // --- Exhaustive: the from-scratch oracle enumeration against
+  // branch-and-bound on the rate instance (same state budget), then
+  // branch-and-bound on a medium instance only its raised guard admits.
   auto ws = core::make_workspace(rate_program(), rate_platform(), {});
   auto ctx = ws->context();
   assign::SearchOptions budget_options;
   budget_options.max_states = kRateBudget;
-  assign::SearchOptions mirror_options = budget_options;
-  mirror_options.use_branch_and_bound = false;
+  assign::ExhaustiveOptions oracle_options;
+  oracle_options.max_states = kRateBudget;
 
   auto t0 = Clock::now();
-  assign::SearchResult reference = assign::searcher("exhaustive-ref").search(ctx, budget_options);
+  assign::ExhaustiveResult reference = oracles::exhaustive_reference(ctx, oracle_options);
   double reference_s = seconds_since(t0);
-  t0 = Clock::now();
-  assign::SearchResult mirror = assign::searcher("exhaustive").search(ctx, mirror_options);
-  double mirror_s = seconds_since(t0);
   t0 = Clock::now();
   assign::SearchResult pruned = assign::searcher("bnb").search(ctx, budget_options);
   double engine_s = seconds_since(t0);
 
   double ref_rate = reference.states_explored / (reference_s > 0 ? reference_s : 1e-9);
-  double mirror_rate = mirror.states_explored / (mirror_s > 0 ? mirror_s : 1e-9);
   std::cout << "exhaustive (rate instance, budget " << kRateBudget << "): scratch "
             << reference.states_explored << " states, "
             << core::Table::num(reference_s * 1e3, 2) << " ms ("
-            << core::Table::num(ref_rate, 0) << " states/s); engine mirror "
-            << mirror.states_explored << " states, " << core::Table::num(mirror_s * 1e3, 2)
-            << " ms (" << core::Table::num(mirror_rate, 0) << " states/s) — states/s speedup "
-            << core::Table::num(mirror_rate / ref_rate, 1) << "x\n";
-  std::cout << "branch-and-bound on top: " << pruned.states_explored << " states ("
+            << core::Table::num(ref_rate, 0) << " states/s)\n";
+  std::cout << "branch-and-bound: " << pruned.states_explored << " states ("
             << pruned.bound_prunes << " bound prunes, " << pruned.capacity_prunes
             << " capacity prunes), " << core::Table::num(engine_s * 1e3, 2) << " ms, "
             << (pruned.exhausted_budget ? "budget hit" : "search complete") << ", wall speedup vs scratch "
@@ -509,16 +461,12 @@ void print_scaling_report() {
   for (std::size_t i = 0; i < feasibility.size(); ++i) {
     const FeasibilityRow& row = feasibility[i];
     json << "    {\"app\": \"" << core::json_escape(row.app) << "\", \"probes\": " << row.probes
-         << ", \"scratch_s\": " << row.scratch_s << ", \"tracker_s\": " << row.tracker_s
-         << ", \"greedy_scratch_s\": " << row.greedy_scratch_s
-         << ", \"greedy_tracker_s\": " << row.greedy_tracker_s << "}"
+         << ", \"scratch_s\": " << row.scratch_s << ", \"tracker_s\": " << row.tracker_s << "}"
          << (i + 1 < feasibility.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
        << "  \"exhaustive\": {\"scratch_states\": " << reference.states_explored
-       << ", \"scratch_s\": " << reference_s << ", \"mirror_states\": "
-       << mirror.states_explored << ", \"mirror_s\": " << mirror_s
-       << ", \"bnb_states\": " << pruned.states_explored << ", \"bnb_s\": " << engine_s
+       << ", \"scratch_s\": " << reference_s << ", \"bnb_states\": " << pruned.states_explored << ", \"bnb_s\": " << engine_s
        << ", \"bnb_bound_prunes\": " << pruned.bound_prunes
        << ", \"medium_states\": " << medium.states_explored
        << ", \"medium_bound_prunes\": " << medium.bound_prunes
@@ -540,9 +488,7 @@ void print_scaling_report() {
   for (std::size_t i = 0; i < data_layout.size(); ++i) {
     const DataLayoutRow& row = data_layout[i];
     json << "    {\"app\": \"" << core::json_escape(row.app) << "\", \"moves\": " << row.moves
-         << ", \"batched_s\": " << row.batched_s
-         << ", \"per_candidate_s\": " << row.per_candidate_s
-         << ", \"steady_allocs\": " << row.steady_allocs
+         << ", \"batched_s\": " << row.batched_s << ", \"steady_allocs\": " << row.steady_allocs
          << ", \"allocs_per_move\": " << row.allocs_per_move << "}"
          << (i + 1 < data_layout.size() ? "," : "") << "\n";
   }
@@ -558,7 +504,7 @@ void BM_GreedyReference(benchmark::State& state) {
   auto ctx = ws->context();
   int evaluations = 0;
   for (auto _ : state) {
-    assign::SearchResult result = assign::searcher("greedy-ref").search(ctx, {});
+    assign::GreedyResult result = oracles::greedy_reference(ctx);
     evaluations = result.evaluations;
     benchmark::DoNotOptimize(result);
   }
@@ -600,19 +546,20 @@ void run_exhaustive_bench(benchmark::State& state, const std::string& strategy,
 }
 
 void BM_ExhaustiveReference(benchmark::State& state) {
-  assign::SearchOptions options;
+  auto ws = core::make_workspace(rate_program(), rate_platform(), {});
+  auto ctx = ws->context();
+  assign::ExhaustiveOptions options;
   options.max_states = kRateBudget;
-  run_exhaustive_bench(state, "exhaustive-ref", options);
+  long states = 0;
+  for (auto _ : state) {
+    assign::ExhaustiveResult result = oracles::exhaustive_reference(ctx, options);
+    states = result.states_explored;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["states/s"] =
+      benchmark::Counter(static_cast<double>(states), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_ExhaustiveReference);
-
-void BM_ExhaustiveEngineMirror(benchmark::State& state) {
-  assign::SearchOptions options;
-  options.use_branch_and_bound = false;
-  options.max_states = kRateBudget;
-  run_exhaustive_bench(state, "exhaustive", options);
-}
-BENCHMARK(BM_ExhaustiveEngineMirror);
 
 void BM_ExhaustiveBranchAndBound(benchmark::State& state) {
   assign::SearchOptions options;

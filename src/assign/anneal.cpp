@@ -96,9 +96,7 @@ AnnealResult anneal_assign(const AssignContext& ctx, const AnnealOptions& option
     }
     if (!proposed) continue;
 
-    bool feasible = options.use_footprint_tracker ? engine.fits()
-                                                  : fits(ctx, engine.assignment());
-    if ((needs_layering_check && !engine.layering_valid()) || !feasible) {
+    if ((needs_layering_check && !engine.layering_valid()) || !engine.fits()) {
       engine.undo_to(cp);
       continue;
     }

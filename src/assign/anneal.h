@@ -27,11 +27,6 @@ struct AnnealOptions {
   double cooling = 0.997;       ///< geometric per-iteration temperature decay
   bool allow_array_migration = true;  ///< propose whole-array home moves
 
-  /// Answer per-proposal feasibility from the engine's incremental
-  /// FootprintTracker (O(1)) instead of a from-scratch `fits()` rebuild.
-  /// Verdicts are exact either way, so the walk is bit-identical.
-  bool use_footprint_tracker = true;
-
   /// Cooperative run budget: one probe per iteration, checked before the
   /// proposal is drawn, so an expired budget truncates the walk at an
   /// iteration boundary and the best-so-far state is returned (status

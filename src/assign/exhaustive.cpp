@@ -25,11 +25,11 @@ namespace {
 
 /// The canonical feasible-home enumeration: background first, then the
 /// on-chip layers outermost-in, skipping layers the array does not fit.
-/// Every phase that walks or mirrors the array-home decision — the
-/// reference DFS, the engine DFS, the bound precompute and the bnb-par
-/// root-frontier split — goes through here: the bit-identity guarantees
-/// (engine vs reference, parallel vs serial) lean on all of them visiting
-/// homes in exactly this order.
+/// Every phase that walks or mirrors the array-home decision — the DFS, the
+/// bound precompute and the bnb-par root-frontier split — goes through
+/// here: the bit-identity guarantee (parallel vs serial) leans on all of
+/// them visiting homes in exactly this order, and the test oracle
+/// (tests/oracles/) enumerates homes in the same order.
 template <typename Fn>
 void for_each_feasible_home(const AssignContext& ctx, const ir::ArrayDecl& array,
                             bool allow_migration, Fn&& fn) {
@@ -54,94 +54,18 @@ constexpr std::size_t kMinCopySplit = 8;
 /// rare enough that an unbounded solve pays no per-node atomic.
 constexpr long kCopyNodesPerProbe = 64;
 
-/// Reference enumeration: from-scratch estimate_cost per state, no pruning
-/// beyond per-placement capacity.  Kept as the oracle the engine path is
-/// equivalence-tested against.
-struct SearchState {
-  const AssignContext& ctx;
-  const ExhaustiveOptions& options;
-  Objective objective;
-  Assignment best;
-  double best_scalar;
-  long states = 0;
-  bool budget_hit = false;
-  core::RunBudget* run_budget = nullptr;
-
-  void evaluate(const Assignment& assignment) {
-    if (budget_hit) return;
-    if (run_budget && !run_budget->probe()) {
-      budget_hit = true;
-      return;
-    }
-    if (++states > options.max_states) {
-      budget_hit = true;
-      return;
-    }
-    if (!fits(ctx, assignment)) return;
-    if (!layering_valid(ctx, assignment)) return;
-    double scalar = objective.scalar(estimate_cost(ctx, assignment));
-    if (scalar < best_scalar) {
-      best_scalar = scalar;
-      best = assignment;
-    }
-  }
-
-  /// Choose a layer for each copy candidate (or leave it unselected).
-  void recurse_copies(Assignment& assignment, std::size_t index) {
-    if (budget_hit) return;
-    const auto& candidates = ctx.reuse.candidates();
-    if (index == candidates.size()) {
-      evaluate(assignment);
-      return;
-    }
-    // Option A: skip this candidate.
-    recurse_copies(assignment, index + 1);
-    // Option B: place it on every on-chip layer it could fit.
-    const analysis::CopyCandidate& cc = candidates[index];
-    for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
-      const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-      if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
-      assignment.copies.push_back({cc.id, layer});
-      recurse_copies(assignment, index + 1);
-      assignment.copies.pop_back();
-    }
-  }
-
-  /// Choose a home layer for each array, then enumerate copies.
-  void recurse_arrays(Assignment& assignment, std::size_t index) {
-    if (budget_hit) return;
-    if (run_budget && !run_budget->probe()) {
-      budget_hit = true;
-      return;
-    }
-    const auto& arrays = ctx.program.arrays();
-    if (index == arrays.size()) {
-      recurse_copies(assignment, 0);
-      return;
-    }
-    const ir::ArrayDecl& array = arrays[index];
-    int entry = assignment.layer_of(array.name, ctx.hierarchy.background());
-    // Background first, so small instances find the canonical
-    // everything-off-chip baseline immediately.
-    for_each_feasible_home(ctx, array, options.allow_array_migration, [&](int layer) {
-      assignment.array_layer[array.name] = layer;
-      recurse_arrays(assignment, index + 1);
-    });
-    // Restore the entry value, not the background: the caller's scratch may
-    // legitimately hold a non-background home for this array.
-    assignment.array_layer[array.name] = entry;
-  }
-};
+/// Static-split parallel search: target root-frontier tasks per worker.
+constexpr std::size_t kStaticTasksPerThread = 4;
 
 /// Stamp the anytime contract fields onto a finished (or truncated) result:
 /// map a completed run to Optimal/gap 0; on a truncated run substitute the
 /// greedy fallback when it beats the incumbent, certify the gap against the
-/// global root lower bound when one exists (engine B&B), and verify the
-/// returned assignment is actually consumable.
+/// global root lower bound, and verify the returned assignment is actually
+/// consumable.
 void finalize_anytime(ExhaustiveResult& result, const AssignContext& ctx, bool budget_hit,
-                      bool have_bound, double lower_bound, const GreedyResult* fallback) {
+                      double lower_bound, const GreedyResult* fallback) {
   result.exhausted_budget = budget_hit;
-  if (have_bound) result.lower_bound = lower_bound;
+  result.lower_bound = lower_bound;
   if (!budget_hit) {
     result.status = SearchStatus::Optimal;
     result.gap = 0.0;
@@ -154,36 +78,20 @@ void finalize_anytime(ExhaustiveResult& result, const AssignContext& ctx, bool b
   result.status = fits(ctx, result.assignment) && layering_valid(ctx, result.assignment)
                       ? SearchStatus::BudgetExhausted
                       : SearchStatus::Infeasible;
-  if (have_bound && result.scalar > 0.0) {
+  if (result.scalar > 0.0) {
     result.gap = std::max(0.0, (result.scalar - lower_bound) / result.scalar);
   } else {
     result.gap = -1.0;
   }
 }
 
-ExhaustiveResult exhaustive_reference(const AssignContext& ctx, const ExhaustiveOptions& options,
-                                      core::RunBudget* run_budget) {
-  SearchState state{ctx, options, make_objective(ctx, options.energy_weight, options.time_weight),
-                    out_of_box(ctx), 0.0, 0, false, run_budget};
-  state.best_scalar = state.objective.scalar(estimate_cost(ctx, state.best));
-
-  Assignment scratch = out_of_box(ctx);
-  state.recurse_arrays(scratch, 0);
-
-  ExhaustiveResult result;
-  result.assignment = std::move(state.best);
-  result.scalar = state.best_scalar;
-  result.states_explored = state.states;
-  finalize_anytime(result, ctx, state.budget_hit, /*have_bound=*/false, 0.0, nullptr);
-  return result;
-}
-
-/// Engine-backed branch-and-bound.  Same DFS order as the reference, so the
-/// first strictly-improving state is found identically; pruning discards
-/// only subtrees whose admissible lower bound shows they cannot *strictly*
-/// beat the incumbent, and placements whose cumulative (layer, nest)
-/// footprint already overflows a bounded layer (copy selection only ever
-/// adds footprint, so no completion of such a branch is feasible).
+/// Engine-backed branch-and-bound.  Same DFS order as an un-pruned
+/// enumeration, so the first strictly-improving state is found identically;
+/// pruning discards only subtrees whose admissible lower bound shows they
+/// cannot *strictly* beat the incumbent, and placements whose cumulative
+/// (layer, nest) footprint already overflows a bounded layer (copy
+/// selection only ever adds footprint, so no completion of such a branch
+/// is feasible).
 ///
 /// Copyable on purpose: the parallel search stamps one task search per
 /// root-frontier subtree from a shared prototype, reusing the engine
@@ -199,7 +107,6 @@ struct EngineSearch {
   bool budget_hit = false;
   long bound_prunes = 0;
   long capacity_prunes = 0;
-  bool bnb = true;            ///< pruning on; off = state-exact mirror of the reference
 
   /// Cooperative run budget (never null in practice: the entry points
   /// always resolve one, if only an unlimited local).  Probed once per
@@ -318,7 +225,6 @@ struct EngineSearch {
   /// same homes produce the same footprint.
   void prepare_copy_bound() {
     dyn_active_ = false;
-    if (!options.use_footprint_bound) return;
     const auto& candidates = ctx.reuse.candidates();
     const std::size_t C = candidates.size();
     const int background = ctx.hierarchy.background();
@@ -385,11 +291,10 @@ struct EngineSearch {
       : ctx(c),
         options(o),
         engine(c),
-        objective(make_objective(c, o.energy_weight, o.time_weight)),
-        bnb(o.use_branch_and_bound) {
+        objective(make_objective(c, o.energy_weight, o.time_weight)) {
     best_scalar = engine.scalar(objective);
     best = engine.assignment();
-    if (bnb) precompute_bounds();
+    precompute_bounds();
   }
 
   void precompute_bounds() {
@@ -496,14 +401,10 @@ struct EngineSearch {
       budget_hit = true;
       return;
     }
-    // With pruning on, feasibility holds by construction: every placement on
-    // the path passed the incremental (layer, nest) footprint check.  The
-    // mirror mode visits infeasible states like the reference does and
-    // rejects them here — the engine's tracker makes the check O(1); the
-    // reference-feasibility toggle recomputes from scratch instead.
-    bool feasible = options.use_footprint_tracker ? engine.fits()
-                                                  : fits(ctx, engine.assignment());
-    if (!feasible) return;
+    // Feasibility holds by construction — every placement on the path
+    // passed the incremental (layer, nest) footprint check — but the
+    // tracker makes the confirming check O(1).
+    if (!engine.fits()) return;
     if (!engine.layering_valid()) return;
     double scalar = engine.scalar(objective);
     // Serial tie semantics fall out of visit order (first tie wins, later
@@ -571,7 +472,7 @@ struct EngineSearch {
         return;
       }
     }
-    if (bnb && prune(bound)) return;
+    if (prune(bound)) return;
 
     const auto& candidates = ctx.reuse.candidates();
     if (j == candidates.size()) {
@@ -618,13 +519,12 @@ struct EngineSearch {
       if (ws_mode) cur_path_[A + j] = 0;
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
-      if (bnb) tighten_sites(j, child);
+      tighten_sites(j, child);
       recurse_copies(j + 1, child);
-      if (bnb) restore_sites(mark);
+      restore_sites(mark);
     }
-    // Option B: place it on every on-chip layer it fits individually; the
-    // cumulative (lifetime-aware) footprint of its nest either prunes the
-    // branch (bnb) or marks it infeasible while mirroring the reference DFS.
+    // Option B: place it on every on-chip layer it fits individually, unless
+    // the cumulative (lifetime-aware) footprint of its nest prunes it.
     const analysis::CopyCandidate& cc = candidates[j];
     int ordinal = 0;
     for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
@@ -635,13 +535,11 @@ struct EngineSearch {
       // of the whole path — array homes plus the copies selected so far —
       // so one cell read decides whether this placement can still fit.
       // Copy selection only ever adds footprint: an overflowing branch has
-      // no feasible completion and branch-and-bound cuts it here; the
-      // mirror mode enters it like the reference does and lets the leaf
-      // feasibility check reject it.
+      // no feasible completion, so it is cut here.
       bool overflows = !target.unbounded() &&
                        engine.footprint().usage(layer, cc.nest) + cc.bytes >
                            target.capacity_bytes;
-      if (overflows && bnb) {
+      if (overflows) {
         ++capacity_prunes;
         continue;
       }
@@ -650,15 +548,13 @@ struct EngineSearch {
       engine.select_copy(cc.id, layer);
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
-      if (bnb) {
-        child.opt_e += cc_lb_e_[j * static_cast<std::size_t>(ctx.hierarchy.num_layers()) +
-                                static_cast<std::size_t>(layer)];
-        child.opt_c += cc_lb_c_[j * static_cast<std::size_t>(ctx.hierarchy.num_layers()) +
-                                static_cast<std::size_t>(layer)];
-        tighten_sites(j, child);
-      }
+      child.opt_e += cc_lb_e_[j * static_cast<std::size_t>(ctx.hierarchy.num_layers()) +
+                              static_cast<std::size_t>(layer)];
+      child.opt_c += cc_lb_c_[j * static_cast<std::size_t>(ctx.hierarchy.num_layers()) +
+                              static_cast<std::size_t>(layer)];
+      tighten_sites(j, child);
       recurse_copies(j + 1, child);
-      if (bnb) restore_sites(mark);
+      restore_sites(mark);
       engine.undo_to(cp);
     }
   }
@@ -691,7 +587,7 @@ struct EngineSearch {
   }
 
   /// Replay one copy decision of a stolen task's prefix onto the engine and
-  /// the bound (ws_mode only, so bnb is on).  No prune or feasibility
+  /// the bound (ws_mode only).  No prune or feasibility
   /// re-checks: the spawning worker ran them on the identical deterministic
   /// state before offloading, so re-running could only agree.
   void apply_copy_ordinal(std::size_t j, int ordinal, Bound& bound) {
@@ -716,30 +612,25 @@ struct EngineSearch {
   /// produce the same numbers, so a replayed subtree prunes identically to
   /// the subtree the spawning worker would have descended.
   void enter_copy_phase_at(std::size_t j0, const int* ordinals) {
-    bool base_feasible = options.use_footprint_tracker
-                             ? engine.fits()
-                             : compute_footprints(ctx, engine.assignment()).feasible;
-    if (!base_feasible && bnb) return;  // no copy subset can shrink an array overflow
+    if (!engine.fits()) return;  // no copy subset can shrink an array overflow
 
+    prepare_copy_bound();
     Bound bound;
-    if (bnb) {
-      prepare_copy_bound();
-      auto [pin_e, pin_c] = engine.pinned_totals();
-      bound.exact_e = pin_e;
-      bound.exact_c = engine.compute_cycles() + pin_c;
+    auto [pin_e, pin_c] = engine.pinned_totals();
+    bound.exact_e = pin_e;
+    bound.exact_c = engine.compute_cycles() + pin_c;
 
-      const std::size_t S = engine.num_sites();
-      site_lb_e_.assign(S, 0.0);
-      site_lb_c_.assign(S, 0.0);
-      for (std::size_t s = 0; s < S; ++s) {
-        // No copies are selected yet, so serving_layer == the array's home;
-        // suffix 0 is the minimum over every covering candidate.
-        int home = engine.serving_layer(s);
-        site_lb_e_[s] = std::min(engine.site_energy_term(s, home), suffix_e(s, 0));
-        site_lb_c_[s] = std::min(engine.site_cycle_term(s, home), suffix_c(s, 0));
-        bound.opt_e += site_lb_e_[s];
-        bound.opt_c += site_lb_c_[s];
-      }
+    const std::size_t S = engine.num_sites();
+    site_lb_e_.assign(S, 0.0);
+    site_lb_c_.assign(S, 0.0);
+    for (std::size_t s = 0; s < S; ++s) {
+      // No copies are selected yet, so serving_layer == the array's home;
+      // suffix 0 is the minimum over every covering candidate.
+      int home = engine.serving_layer(s);
+      site_lb_e_[s] = std::min(engine.site_energy_term(s, home), suffix_e(s, 0));
+      site_lb_c_[s] = std::min(engine.site_cycle_term(s, home), suffix_c(s, 0));
+      bound.opt_e += site_lb_e_[s];
+      bound.opt_c += site_lb_c_[s];
     }
     for (std::size_t j = 0; j < j0; ++j) apply_copy_ordinal(j, ordinals[j], bound);
     recurse_copies(j0, bound);
@@ -769,7 +660,7 @@ struct EngineSearch {
       budget_hit = true;
       return;
     }
-    if (bnb && prune(bound)) return;
+    if (prune(bound)) return;
     const auto& arrays = ctx.program.arrays();
     if (index == arrays.size()) {
       enter_copy_phase();
@@ -807,7 +698,7 @@ struct EngineSearch {
       CostEngine::Checkpoint cp = engine.checkpoint();
       engine.set_home(index, layer);
       Bound child = bound;
-      if (bnb) apply_home_to_bound(index, layer, child);
+      apply_home_to_bound(index, layer, child);
       recurse_arrays(index + 1, child);
       engine.undo_to(cp);
     });
@@ -835,16 +726,14 @@ struct EngineSearch {
   /// starts at 0).
   void run(std::size_t start) {
     Bound bound;
-    if (bnb) {
-      bound.exact_c = engine.compute_cycles();
-      const std::size_t S = engine.num_sites();
-      for (std::size_t s = 0; s < S; ++s) {
-        bound.opt_e += site_open_e_[s];
-        bound.opt_c += site_open_c_[s];
-      }
-      for (std::size_t a = 0; a < start; ++a) {
-        apply_home_to_bound(a, engine.home_of(a), bound);
-      }
+    bound.exact_c = engine.compute_cycles();
+    const std::size_t S = engine.num_sites();
+    for (std::size_t s = 0; s < S; ++s) {
+      bound.opt_e += site_open_e_[s];
+      bound.opt_c += site_open_c_[s];
+    }
+    for (std::size_t a = 0; a < start; ++a) {
+      apply_home_to_bound(a, engine.home_of(a), bound);
     }
     recurse_arrays(start, bound);
   }
@@ -916,15 +805,12 @@ ExhaustiveResult exhaustive_engine(const AssignContext& ctx, const ExhaustiveOpt
   EngineSearch search(ctx, options);
   search.run_budget = run_budget;
   core::AtomicMin seed(search.best_scalar);
-  std::optional<GreedyResult> fallback;
-  if (search.bnb && options.seed_incumbent) {
-    fallback = greedy_incumbent_seed(ctx, options, run_budget);
-    seed.update(fallback->final_scalar);
-    search.shared_incumbent = &seed;
-  }
-  double root_lb = search.bnb ? search.root_scalar_bound() : 0.0;
+  GreedyResult fallback = greedy_incumbent_seed(ctx, options, run_budget);
+  seed.update(fallback.final_scalar);
+  search.shared_incumbent = &seed;
+  double root_lb = search.root_scalar_bound();
   {
-    obs::Span span(search.bnb ? "bnb_walk" : "exhaustive_walk", "search");
+    obs::Span span("bnb_walk", "search");
     search.run(0);
   }
 
@@ -934,8 +820,7 @@ ExhaustiveResult exhaustive_engine(const AssignContext& ctx, const ExhaustiveOpt
   result.states_explored = search.states;
   result.bound_prunes = search.bound_prunes;
   result.capacity_prunes = search.capacity_prunes;
-  finalize_anytime(result, ctx, search.budget_hit, search.bnb, root_lb,
-                   fallback ? &*fallback : nullptr);
+  finalize_anytime(result, ctx, search.budget_hit, root_lb, &fallback);
   return result;
 }
 
@@ -983,28 +868,24 @@ ExhaustiveResult exhaustive_parallel_static(const AssignContext& ctx,
   result.scalar = prototype.best_scalar;
 
   unsigned threads = options.num_threads ? options.num_threads : core::default_parallelism();
-  std::size_t target_tasks = static_cast<std::size_t>(threads) *
-                             static_cast<std::size_t>(std::max(options.tasks_per_thread, 1));
+  std::size_t target_tasks = static_cast<std::size_t>(threads) * kStaticTasksPerThread;
   std::vector<std::vector<int>> tasks = split_root_frontier(ctx, options, target_tasks);
   // Unreachable while the background layer is unbounded (every array always
   // has at least one feasible home); kept as a cheap defense so a future
   // bounded-background hierarchy degrades to the serial no-leaves result.
   if (tasks.empty()) {
-    finalize_anytime(result, ctx, /*budget_hit=*/false, /*have_bound=*/true, root_lb, nullptr);
+    finalize_anytime(result, ctx, /*budget_hit=*/false, root_lb, nullptr);
     return result;
   }
 
-  // The shared incumbent starts at the out-of-box scalar and, optionally,
-  // the greedy scalar: both are costs of feasible assignments, so pruning
+  // The shared incumbent starts at the out-of-box scalar and the greedy
+  // scalar: both are costs of feasible assignments, so pruning
   // strictly above them never cuts an optimal state.  The seed is a bound
   // only — the returned assignment always comes from the enumeration, with
   // the greedy fallback substituted only on a budget-truncated run.
   core::AtomicMin incumbent(prototype.best_scalar);
-  std::optional<GreedyResult> fallback;
-  if (options.seed_incumbent) {
-    fallback = greedy_incumbent_seed(ctx, options, run_budget);
-    incumbent.update(fallback->final_scalar);
-  }
+  GreedyResult fallback = greedy_incumbent_seed(ctx, options, run_budget);
+  incumbent.update(fallback.final_scalar);
 
   struct TaskOutcome {
     Assignment best;
@@ -1049,8 +930,7 @@ ExhaustiveResult exhaustive_parallel_static(const AssignContext& ctx,
     result.bound_prunes += outcome.bound_prunes;
     result.capacity_prunes += outcome.capacity_prunes;
   }
-  finalize_anytime(result, ctx, budget_hit, /*have_bound=*/true, root_lb,
-                   fallback ? &*fallback : nullptr);
+  finalize_anytime(result, ctx, budget_hit, root_lb, &fallback);
   return result;
 }
 
@@ -1075,11 +955,8 @@ ExhaustiveResult exhaustive_parallel_ws(const AssignContext& ctx, const Exhausti
   // them never cuts an optimal state; the returned assignment always comes
   // from the enumeration (greedy substitutes only on a truncated run).
   core::AtomicMin incumbent(prototype.best_scalar);
-  std::optional<GreedyResult> fallback;
-  if (options.seed_incumbent) {
-    fallback = greedy_incumbent_seed(ctx, options, run_budget);
-    incumbent.update(fallback->final_scalar);
-  }
+  GreedyResult fallback = greedy_incumbent_seed(ctx, options, run_budget);
+  incumbent.update(fallback.final_scalar);
 
   unsigned threads = options.num_threads ? options.num_threads : core::default_parallelism();
   core::WorkStealingPool pool(threads);
@@ -1133,31 +1010,20 @@ ExhaustiveResult exhaustive_parallel_ws(const AssignContext& ctx, const Exhausti
       best_path = &worker->best_path_;
     }
   }
-  finalize_anytime(result, ctx, budget_hit, /*have_bound=*/true, root_lb,
-                   fallback ? &*fallback : nullptr);
+  finalize_anytime(result, ctx, budget_hit, root_lb, &fallback);
   return result;
 }
 
-ExhaustiveResult exhaustive_parallel(const AssignContext& ctx, const ExhaustiveOptions& options,
-                                     core::RunBudget* run_budget) {
-  return options.work_stealing ? exhaustive_parallel_ws(ctx, options, run_budget)
-                               : exhaustive_parallel_static(ctx, options, run_budget);
-}
-
-}  // namespace
-
-namespace {
-
-/// The guard throws only when there is nothing to bound the runtime: on the
-/// engine path a bounded run budget lifts it (anytime mode — the budget
-/// truncates the search where the guard would have refused it).
-void check_placement_guard(const AssignContext& ctx, std::size_t guard, bool anytime) {
+/// The guard throws only when there is nothing to bound the runtime: a
+/// bounded run budget lifts it (anytime mode — the budget truncates the
+/// search where the guard would have refused it).
+void check_placement_guard(const AssignContext& ctx, bool anytime) {
   std::size_t placements = ctx.reuse.candidates().size() *
                            static_cast<std::size_t>(std::max(ctx.hierarchy.background(), 1));
-  if (placements <= guard || anytime) return;
+  if (placements <= kEnginePlacementGuard || anytime) return;
   throw std::invalid_argument(
       "exhaustive_assign: instance too large (" + std::to_string(placements) +
-      " candidate placements, guard " + std::to_string(guard) +
+      " candidate placements, guard " + std::to_string(kEnginePlacementGuard) +
       "); use greedy_assign, or attach a run budget (deadline/max_probes/cancel) "
       "for an anytime search");
 }
@@ -1179,24 +1045,18 @@ bool has_bounded_budget(const ExhaustiveOptions& options) {
 }  // namespace
 
 ExhaustiveResult exhaustive_assign(const AssignContext& ctx, const ExhaustiveOptions& options) {
-  bool anytime = options.use_cost_engine && has_bounded_budget(options);
-  check_placement_guard(
-      ctx, options.use_cost_engine ? kEnginePlacementGuard : kReferencePlacementGuard, anytime);
+  check_placement_guard(ctx, has_bounded_budget(options));
   std::optional<core::RunBudget> local;
-  core::RunBudget* budget = resolve_budget(options, local);
-  return options.use_cost_engine ? exhaustive_engine(ctx, options, budget)
-                                 : exhaustive_reference(ctx, options, budget);
+  return exhaustive_engine(ctx, options, resolve_budget(options, local));
 }
 
 ExhaustiveResult exhaustive_parallel_assign(const AssignContext& ctx,
                                             const ExhaustiveOptions& options) {
-  check_placement_guard(ctx, kEnginePlacementGuard, has_bounded_budget(options));
-  ExhaustiveOptions forced = options;
-  forced.use_cost_engine = true;
-  forced.use_branch_and_bound = true;
+  check_placement_guard(ctx, has_bounded_budget(options));
   std::optional<core::RunBudget> local;
-  core::RunBudget* budget = resolve_budget(forced, local);
-  return exhaustive_parallel(ctx, forced, budget);
+  core::RunBudget* budget = resolve_budget(options, local);
+  return options.work_stealing ? exhaustive_parallel_ws(ctx, options, budget)
+                               : exhaustive_parallel_static(ctx, options, budget);
 }
 
 }  // namespace mhla::assign

@@ -7,54 +7,19 @@
 
 namespace mhla::assign {
 
-/// Options for the exhaustive (oracle) search.  Only usable on small inputs;
-/// the search space is pruned by capacity, by an admissible branch-and-bound
-/// lower bound (engine path), and by a hard state budget.
+/// Options for the exact branch-and-bound search.  Only usable on small
+/// inputs: the search runs on the incremental CostEngine, starts from a
+/// greedy incumbent, and is pruned by cumulative capacity, by an admissible
+/// lower bound (including the footprint-aware copy-phase bound), and by a
+/// hard state budget.
 struct ExhaustiveOptions {
   double energy_weight = 1.0;
   double time_weight = 1.0;
   long max_states = 2'000'000;       ///< hard bound on evaluated states
   bool allow_array_migration = true;
 
-  /// Search with the incremental CostEngine plus branch-and-bound pruning.
-  /// Produces the same best assignment and scalar as the reference
-  /// enumeration (pruning only discards states that cannot strictly beat
-  /// the incumbent), explores far fewer states, and accepts instances up
-  /// to `kEnginePlacementGuard` instead of `kReferencePlacementGuard`.
-  bool use_cost_engine = true;
-
-  /// Engine path only: disable the lower-bound and cumulative-capacity
-  /// pruning so the DFS mirrors the reference enumeration state for state
-  /// (same states_explored, same budget behavior).  Used to measure pure
-  /// per-state evaluation throughput and by the equivalence tests.
-  bool use_branch_and_bound = true;
-
-  /// Engine path only: answer leaf/base feasibility from the engine's
-  /// incremental FootprintTracker (O(1)) instead of a from-scratch
-  /// `compute_footprints` rebuild.  Verdicts are exact either way, so the
-  /// search result is bit-identical; the toggle exists for the equivalence
-  /// tests.  (The branch-and-bound capacity pruning always reads the
-  /// tracker's usage cells — it is integer-exact by construction.)
-  bool use_footprint_tracker = true;
-
-  /// Engine branch-and-bound only: at each copy-phase entry, filter the
-  /// suffix-minimum bound tables by the homes-only footprint headroom of
-  /// the `FootprintTracker` — a placement whose (layer, nest) usage already
-  /// overflows at entry can never be selected below that node, so its term
-  /// is dropped and a site with no surviving placement contributes its
-  /// exact serving term instead of an optimistic minimum.  Strictly
-  /// tightens pruning for both serial and parallel search; any admissible
-  /// bound returns the same optimum, so results are bit-identical with the
-  /// toggle on or off (only the state/prune counters move).
-  bool use_footprint_bound = true;
-
-  /// `exhaustive_parallel_assign` knobs; `seed_incumbent` also applies to
-  /// the serial engine path when branch-and-bound is on.  The greedy seed
-  /// only ever prunes (strictly, so tied states still enumerate) — the
-  /// returned optimum is bit-identical with or without it.
-  unsigned num_threads = 0;    ///< worker threads (0 = hardware concurrency)
-  int tasks_per_thread = 4;    ///< static split only: target root tasks per worker
-  bool seed_incumbent = true;  ///< seed the incumbent bound with the greedy scalar
+  /// `exhaustive_parallel_assign` worker threads (0 = hardware concurrency).
+  unsigned num_threads = 0;
 
   /// Parallel path only: schedule subtree tasks on `core::WorkStealingPool`
   /// deques, splitting on demand whenever a worker starves (default),
@@ -67,15 +32,17 @@ struct ExhaustiveOptions {
   /// array-phase node, so prune-heavy searches still observe a deadline
   /// promptly).  When the budget expires the search unwinds and returns
   /// best-so-far with a certified optimality gap — see ExhaustiveResult.
-  /// A bounded budget also lifts the placement guard on the engine path
-  /// (anytime mode); `shared_budget` takes precedence over `budget`.
+  /// A bounded budget also lifts the placement guard (anytime mode);
+  /// `shared_budget` takes precedence over `budget`.
   core::BudgetSpec budget;
   core::RunBudget* shared_budget = nullptr;
 };
 
 /// Instance-size guards: candidate placements (candidates x on-chip layers)
-/// above the guard throw std::invalid_argument.  Branch-and-bound raises the
-/// exact-solvable ceiling well beyond the reference enumeration's.
+/// above the guard throw std::invalid_argument.  `kEnginePlacementGuard`
+/// bounds the branch-and-bound search; `kReferencePlacementGuard` bounds
+/// the un-pruned from-scratch enumeration the tests use as an oracle, and
+/// marks instances small enough for anything to solve exactly.
 inline constexpr std::size_t kReferencePlacementGuard = 24;
 inline constexpr std::size_t kEnginePlacementGuard = 64;
 
@@ -84,31 +51,31 @@ struct ExhaustiveResult {
   double scalar = 0.0;
   long states_explored = 0;       ///< evaluated leaf states
   bool exhausted_budget = false;  ///< true if a state/run budget was hit
-  long bound_prunes = 0;     ///< subtrees cut by the lower bound (engine path)
-  long capacity_prunes = 0;  ///< placements cut by cumulative capacity (engine path)
+  long bound_prunes = 0;     ///< subtrees cut by the lower bound
+  long capacity_prunes = 0;  ///< placements cut by cumulative capacity
 
   /// Anytime contract.  Optimal (gap == 0) when the enumeration ran to
   /// completion; BudgetExhausted when `max_states` or the run budget bound,
   /// in which case `assignment` is the best feasible state seen (the greedy
-  /// incumbent seed serves as a floor when branch-and-bound is on) and
-  /// `gap` certifies (scalar - lower_bound) / scalar against the global
-  /// admissible root lower bound — the true optimum lies within gap of the
-  /// returned scalar.  Without a bound (branch-and-bound off, or the
-  /// reference path) a truncated run reports gap = -1 (unknown).
+  /// incumbent seed serves as a floor) and `gap` certifies
+  /// (scalar - lower_bound) / scalar against the global admissible root
+  /// lower bound — the true optimum lies within gap of the returned scalar.
+  /// A search without a bound (the test oracle) reports gap = -1 (unknown)
+  /// when truncated.
   SearchStatus status = SearchStatus::Optimal;
   double gap = -1.0;
-  double lower_bound = 0.0;  ///< global admissible root bound (engine B&B only)
+  double lower_bound = 0.0;  ///< global admissible root bound
 };
 
-/// Enumerate every feasible (assignment of arrays to layers) x (subset of
-/// copy candidates with a layer each) configuration and return the best
-/// under the scalarized objective.  Intended as a test oracle for the greedy
-/// heuristic and for the search benchmarks; throws std::invalid_argument
-/// if the instance exceeds the placement guard of the selected path —
-/// except on the engine path with a bounded run budget attached, where an
-/// over-guard instance runs in anytime mode: best-so-far plus certified
-/// gap when the budget expires (the guard exists to bound runtime, and a
-/// budget bounds it better).
+/// Branch-and-bound over every feasible (assignment of arrays to layers) x
+/// (subset of copy candidates with a layer each) configuration, returning
+/// the best under the scalarized objective (registry strategy "bnb").
+/// Pruning discards only subtrees that cannot strictly beat the incumbent,
+/// so the result is the first optimum in canonical DFS order.  Throws
+/// std::invalid_argument above `kEnginePlacementGuard` placements — except
+/// with a bounded run budget attached, where an over-guard instance runs in
+/// anytime mode: best-so-far plus certified gap when the budget expires
+/// (the guard exists to bound runtime, and a budget bounds it better).
 ExhaustiveResult exhaustive_assign(const AssignContext& ctx, const ExhaustiveOptions& options = {});
 
 /// Parallel branch-and-bound (registry strategy "bnb-par").  By default
@@ -118,9 +85,9 @@ ExhaustiveResult exhaustive_assign(const AssignContext& ctx, const ExhaustiveOpt
 /// the pool starves, so uneven subtrees rebalance onto idle workers instead
 /// of idling them.  Tasks are canonical ordinal prefixes, replayed onto a
 /// per-worker engine; every worker prunes against a shared atomic incumbent
-/// bound (optionally seeded with the greedy scalar).  With `work_stealing`
-/// off, the original fixed breadth-first root-frontier split
-/// (~`num_threads x tasks_per_thread` tasks) runs instead.
+/// bound seeded with the greedy scalar.  With `work_stealing`
+/// off, the original fixed breadth-first root-frontier split (~4 tasks per
+/// thread) runs instead.
 ///
 /// The result — best assignment and scalar — is **bit-identical to serial
 /// branch-and-bound for any thread count and any steal interleaving**: the
@@ -132,9 +99,8 @@ ExhaustiveResult exhaustive_assign(const AssignContext& ctx, const ExhaustiveOpt
 /// DFS reaches first.  The state/prune counters, by contrast, depend on
 /// incumbent-propagation timing and are not reproducible run to run;
 /// `max_states` bounds each worker (each static-split task), and the
-/// determinism guarantee requires the budget not to bind.  Engine and
-/// branch-and-bound are always on; the instance guard is
-/// `kEnginePlacementGuard`, as for the serial engine path.
+/// determinism guarantee requires the budget not to bind.  The instance
+/// guard is `kEnginePlacementGuard`, as for the serial search.
 ExhaustiveResult exhaustive_parallel_assign(const AssignContext& ctx,
                                             const ExhaustiveOptions& options = {});
 

@@ -14,28 +14,6 @@ struct GreedyOptions {
   int max_moves = 100000;      ///< safety bound on accepted moves
   bool allow_array_migration = true;  ///< consider moving whole arrays on-chip
 
-  /// Score candidate moves with the incremental CostEngine (apply/undo
-  /// deltas) instead of a from-scratch estimate_cost per candidate.  Both
-  /// paths are bit-identical in every decision and result; the reference
-  /// path exists for the equivalence tests and the search_scaling bench.
-  bool use_cost_engine = true;
-
-  /// Engine path only: answer per-candidate feasibility from the engine's
-  /// incremental FootprintTracker (O(1)) instead of a from-scratch
-  /// `fits()` rebuild (O(arrays x nests)) per probe.  Verdicts are exact
-  /// either way, so the search result is bit-identical; the toggle exists
-  /// for the equivalence tests and the search_scaling feasibility bench.
-  bool use_footprint_tracker = true;
-
-  /// Engine path only: score each round's select-copy moves in one batched
-  /// pass over the engine's contiguous term tables
-  /// (`CostEngine::score_select_candidates`) instead of a
-  /// checkpoint/apply/undo cycle per candidate.  Per-slot accumulation
-  /// preserves the canonical summation order, so every score, verdict, probe
-  /// point, and tie-break — hence the whole walk — is bit-identical; the
-  /// toggle exists for the equivalence tests and the search_scaling bench.
-  bool batched_scoring = true;
-
   /// Cooperative run budget: one probe is charged per scored candidate.
   /// When the budget expires the search stops before applying the next
   /// move, so the returned assignment is always the consistent state after
@@ -71,8 +49,12 @@ struct GreedyResult {
 
 /// Greedy steering heuristic: start from the out-of-box assignment and
 /// repeatedly apply the feasible move (select a copy candidate onto a layer,
-/// or migrate an array's home layer) with the best objective gain per byte
-/// of on-chip space claimed; stop when no improving feasible move remains.
+/// migrate an array's home layer, or deselect a copy) with the best
+/// objective gain per byte of on-chip space claimed; stop when no improving
+/// feasible move remains.  Candidates are scored on the incremental
+/// CostEngine, feasibility comes from its FootprintTracker, and each
+/// round's select-copy moves are scored in one batched pass
+/// (`CostEngine::score_select_candidates`).
 GreedyResult greedy_assign(const AssignContext& ctx, const GreedyOptions& options = {});
 
 }  // namespace mhla::assign

@@ -70,9 +70,6 @@ GreedyOptions to_greedy_options(const SearchOptions& options) {
   greedy.time_weight = options.time_weight;
   greedy.max_moves = options.max_moves;
   greedy.allow_array_migration = options.allow_array_migration;
-  greedy.use_cost_engine = options.use_cost_engine;
-  greedy.use_footprint_tracker = options.use_footprint_tracker;
-  greedy.batched_scoring = options.greedy_batched_scoring;
   greedy.budget = options.budget;
   greedy.shared_budget = options.shared_budget;
   return greedy;
@@ -84,13 +81,7 @@ ExhaustiveOptions to_exhaustive_options(const SearchOptions& options) {
   exhaustive.time_weight = options.time_weight;
   exhaustive.max_states = options.max_states;
   exhaustive.allow_array_migration = options.allow_array_migration;
-  exhaustive.use_cost_engine = options.use_cost_engine;
-  exhaustive.use_branch_and_bound = options.use_branch_and_bound;
-  exhaustive.use_footprint_tracker = options.use_footprint_tracker;
-  exhaustive.use_footprint_bound = options.use_footprint_bound;
   exhaustive.num_threads = options.bnb_threads;
-  exhaustive.tasks_per_thread = options.bnb_tasks_per_thread;
-  exhaustive.seed_incumbent = options.bnb_seed_incumbent;
   exhaustive.work_stealing = options.bnb_work_stealing;
   exhaustive.budget = options.budget;
   exhaustive.shared_budget = options.shared_budget;
@@ -106,7 +97,6 @@ AnnealOptions to_anneal_options(const SearchOptions& options) {
   anneal.initial_temp = options.anneal_initial_temp;
   anneal.cooling = options.anneal_cooling;
   anneal.allow_array_migration = options.allow_array_migration;
-  anneal.use_footprint_tracker = options.use_footprint_tracker;
   anneal.budget = options.budget;
   anneal.shared_budget = options.shared_budget;
   return anneal;
@@ -137,64 +127,38 @@ SearchResult from_exhaustive(ExhaustiveResult exhaustive) {
   return result;
 }
 
-/// Greedy steering heuristic; `force_reference` pins the from-scratch path
-/// regardless of the options (the "greedy-ref" strategy).
+/// Greedy steering heuristic on the cost engine (MHLA step 1).
 class GreedySearcher final : public Searcher {
  public:
-  GreedySearcher(std::string name, std::string description, bool force_reference)
-      : name_(std::move(name)), description_(std::move(description)),
-        force_reference_(force_reference) {}
-
-  std::string name() const override { return name_; }
-  std::string description() const override { return description_; }
-
-  SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
-    GreedyOptions greedy = to_greedy_options(options);
-    if (force_reference_) greedy.use_cost_engine = false;
-    return from_greedy(greedy_assign(ctx, greedy));
+  std::string name() const override { return "greedy"; }
+  std::string description() const override {
+    return "engine-backed greedy steering heuristic (MHLA step 1)";
   }
 
- private:
-  std::string name_;
-  std::string description_;
-  bool force_reference_;
+  SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
+    return from_greedy(greedy_assign(ctx, to_greedy_options(options)));
+  }
 };
 
-/// Exhaustive enumeration.  The named variants pin the engine toggles so a
-/// strategy string alone selects a well-defined search behavior.
+/// Branch-and-bound exhaustive search, serial or parallel.
 class ExhaustiveSearcher final : public Searcher {
  public:
-  enum class Mode {
-    Free,       ///< honor the options' engine/bound toggles
-    BnB,        ///< force engine + branch-and-bound
-    Parallel,   ///< parallel branch-and-bound with a shared incumbent
-    Reference,  ///< force the from-scratch enumeration
-  };
-
-  ExhaustiveSearcher(std::string name, std::string description, Mode mode)
-      : name_(std::move(name)), description_(std::move(description)), mode_(mode) {}
+  ExhaustiveSearcher(std::string name, std::string description, bool parallel)
+      : name_(std::move(name)), description_(std::move(description)), parallel_(parallel) {}
 
   std::string name() const override { return name_; }
   std::string description() const override { return description_; }
 
   SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
     ExhaustiveOptions exhaustive = to_exhaustive_options(options);
-    if (mode_ == Mode::Parallel) {
-      return from_exhaustive(exhaustive_parallel_assign(ctx, exhaustive));
-    }
-    if (mode_ == Mode::BnB) {
-      exhaustive.use_cost_engine = true;
-      exhaustive.use_branch_and_bound = true;
-    } else if (mode_ == Mode::Reference) {
-      exhaustive.use_cost_engine = false;
-    }
-    return from_exhaustive(exhaustive_assign(ctx, exhaustive));
+    return from_exhaustive(parallel_ ? exhaustive_parallel_assign(ctx, exhaustive)
+                                     : exhaustive_assign(ctx, exhaustive));
   }
 
  private:
   std::string name_;
   std::string description_;
-  Mode mode_;
+  bool parallel_;
 };
 
 /// Seeded simulated annealing (assign/anneal.h).  Stateless across calls:
@@ -223,23 +187,14 @@ std::map<std::string, std::unique_ptr<Searcher>>& registry() {
   static std::map<std::string, std::unique_ptr<Searcher>> searchers = [] {
     std::map<std::string, std::unique_ptr<Searcher>> built_in;
     auto add = [&](std::unique_ptr<Searcher> s) { built_in[s->name()] = std::move(s); };
-    add(std::make_unique<GreedySearcher>(
-        "greedy", "engine-backed greedy steering heuristic (MHLA step 1)", false));
-    add(std::make_unique<GreedySearcher>(
-        "greedy-ref", "from-scratch greedy reference (bit-identical, slower)", true));
+    add(std::make_unique<GreedySearcher>());
     add(std::make_unique<ExhaustiveSearcher>(
         "bnb", "branch-and-bound exhaustive search (engine lower bound + capacity pruning)",
-        ExhaustiveSearcher::Mode::BnB));
+        false));
     add(std::make_unique<ExhaustiveSearcher>(
         "bnb-par",
         "parallel branch-and-bound (work-stealing subtree tasks, shared incumbent; bit-identical to bnb)",
-        ExhaustiveSearcher::Mode::Parallel));
-    add(std::make_unique<ExhaustiveSearcher>(
-        "exhaustive", "exhaustive enumeration honoring the engine/bound toggles",
-        ExhaustiveSearcher::Mode::Free));
-    add(std::make_unique<ExhaustiveSearcher>(
-        "exhaustive-ref", "from-scratch exhaustive reference enumeration",
-        ExhaustiveSearcher::Mode::Reference));
+        true));
     add(std::make_unique<AnnealSearcher>());
     return built_in;
   }();

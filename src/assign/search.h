@@ -53,39 +53,11 @@ struct SearchOptions {
   double anneal_initial_temp = 0.05;
   double anneal_cooling = 0.997;
 
-  /// Engine toggles (see GreedyOptions / ExhaustiveOptions for semantics).
-  /// The "-ref" registry strategies, "bnb" and "bnb-par" override these;
-  /// "greedy" and "exhaustive" honor them.
-  bool use_cost_engine = true;
-  bool use_branch_and_bound = true;
-
-  /// Answer feasibility probes from the engine's incremental
-  /// FootprintTracker instead of a from-scratch `fits()` rebuild per probe
-  /// (engine-backed strategies: greedy, bnb, bnb-par, exhaustive, anneal).
-  /// Verdicts are exact either way, so results are bit-identical; off is
-  /// the reference path for the equivalence tests.
-  bool use_footprint_tracker = true;
-
-  /// Score each greedy round's select-copy moves in one batched pass over
-  /// the engine's contiguous term tables instead of a checkpoint/apply/undo
-  /// cycle per candidate (see GreedyOptions::batched_scoring).  Per-slot
-  /// accumulation preserves the canonical summation order, so the walk is
-  /// bit-identical; off is the reference path for the equivalence tests.
-  bool greedy_batched_scoring = true;
-
-  /// Filter the branch-and-bound copy-phase bound tables by the tracker's
-  /// homes-only per-nest headroom at each copy-phase entry (see
-  /// ExhaustiveOptions::use_footprint_bound).  Strictly tightens pruning;
-  /// results are bit-identical on or off.
-  bool use_footprint_bound = true;
-
   /// "bnb-par" knobs: parallel branch-and-bound over subtree tasks sharing
-  /// one atomic incumbent bound.  The result is bit-identical to serial
-  /// "bnb" for any thread count (the incumbent only prunes); the knobs
-  /// trade setup overhead against load balance and bound strength.
-  unsigned bnb_threads = 0;        ///< worker threads (0 = hardware concurrency)
-  int bnb_tasks_per_thread = 4;    ///< static split only: target root tasks per worker
-  bool bnb_seed_incumbent = true;  ///< seed the shared bound with the greedy scalar
+  /// one atomic incumbent bound, seeded with the greedy scalar.  The result
+  /// is bit-identical to serial "bnb" for any thread count (the incumbent
+  /// only prunes); the knobs trade setup overhead against load balance.
+  unsigned bnb_threads = 0;  ///< worker threads (0 = hardware concurrency)
   /// Schedule "bnb-par" subtree tasks on work-stealing deques that split on
   /// demand (default) instead of the fixed root-frontier split; off keeps
   /// the static split as the scaling-comparison baseline.
@@ -97,8 +69,8 @@ struct SearchOptions {
   /// live process object and never serialized.  When the budget binds, the
   /// strategy returns best-so-far with status BudgetExhausted instead of
   /// running on (exact strategies also certify an optimality gap), and a
-  /// bounded budget lifts the placement guard for engine-backed exact
-  /// search (anytime mode).
+  /// bounded budget lifts the placement guard of exact search (anytime
+  /// mode).
   core::BudgetSpec budget;
 
   /// Live budget token shared across stages (search + time extension +
@@ -151,12 +123,10 @@ class Searcher {
 };
 
 /// Registered strategy names, sorted.  Built-ins: "anneal" (seeded
-/// simulated annealing on the cost engine), "greedy" (engine-backed
-/// steering heuristic), "greedy-ref" (from-scratch reference), "bnb"
-/// (branch-and-bound exhaustive), "bnb-par" (parallel branch-and-bound with
-/// a shared incumbent, bit-identical to "bnb"), "exhaustive" (engine
-/// enumeration honoring the toggles), "exhaustive-ref" (from-scratch
-/// enumeration).
+/// simulated annealing on the cost engine), "bnb" (branch-and-bound
+/// exhaustive search), "bnb-par" (parallel branch-and-bound with a shared
+/// incumbent, bit-identical to "bnb") and "greedy" (engine-backed steering
+/// heuristic).
 std::vector<std::string> searcher_names();
 
 /// Look up a strategy by name; throws std::out_of_range whose message lists

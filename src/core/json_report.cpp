@@ -73,6 +73,13 @@ class ObjectReader {
     return *this;
   }
 
+  /// Accept `key` without reading it: a retired option that older documents
+  /// still carry.  Any value is ignored.
+  ObjectReader& retired(const std::string& key) {
+    handled_.push_back(key);
+    return *this;
+  }
+
   ~ObjectReader() noexcept(false) {
     if (std::uncaught_exceptions()) return;
     for (const auto& [key, _] : json_.object()) {
@@ -293,18 +300,11 @@ std::string to_json(const PipelineConfig& config, int indent) {
       << ", \"time_weight\": " << num_exact(search.time_weight)
       << ", \"max_moves\": " << search.max_moves << ", \"max_states\": " << search.max_states
       << ", \"allow_array_migration\": " << bool_text(search.allow_array_migration)
-      << ", \"use_cost_engine\": " << bool_text(search.use_cost_engine)
-      << ", \"use_branch_and_bound\": " << bool_text(search.use_branch_and_bound)
-      << ", \"use_footprint_tracker\": " << bool_text(search.use_footprint_tracker)
-      << ", \"greedy_batched_scoring\": " << bool_text(search.greedy_batched_scoring)
-      << ", \"use_footprint_bound\": " << bool_text(search.use_footprint_bound)
       << ",\n" << p1 << "             \"anneal_iterations\": " << search.anneal_iterations
       << ", \"anneal_seed\": " << search.anneal_seed
       << ", \"anneal_initial_temp\": " << num_exact(search.anneal_initial_temp)
       << ", \"anneal_cooling\": " << num_exact(search.anneal_cooling)
       << ",\n" << p1 << "             \"bnb_threads\": " << search.bnb_threads
-      << ", \"bnb_tasks_per_thread\": " << search.bnb_tasks_per_thread
-      << ", \"bnb_seed_incumbent\": " << bool_text(search.bnb_seed_incumbent)
       << ", \"bnb_work_stealing\": " << bool_text(search.bnb_work_stealing)
       << ",\n" << p1 << "             \"deadline_seconds\": "
       << num_exact(search.budget.deadline_seconds)
@@ -374,21 +374,24 @@ PipelineConfig pipeline_config_from_json(const std::string& text) {
                    .field("max_moves", search.max_moves, as_int)
                    .field("max_states", search.max_states, as_long)
                    .field("allow_array_migration", search.allow_array_migration, as_bool)
-                   .field("use_cost_engine", search.use_cost_engine, as_bool)
-                   .field("use_branch_and_bound", search.use_branch_and_bound, as_bool)
-                   .field("use_footprint_tracker", search.use_footprint_tracker, as_bool)
-                   .field("greedy_batched_scoring", search.greedy_batched_scoring, as_bool)
-                   .field("use_footprint_bound", search.use_footprint_bound, as_bool)
                    .field("anneal_iterations", search.anneal_iterations, as_int)
                    .field("anneal_seed", search.anneal_seed, as_integer<std::uint32_t>)
                    .field("anneal_initial_temp", search.anneal_initial_temp, as_double)
                    .field("anneal_cooling", search.anneal_cooling, as_double)
                    .field("bnb_threads", search.bnb_threads, as_unsigned)
-                   .field("bnb_tasks_per_thread", search.bnb_tasks_per_thread, as_int)
-                   .field("bnb_seed_incumbent", search.bnb_seed_incumbent, as_bool)
                    .field("bnb_work_stealing", search.bnb_work_stealing, as_bool)
                    .field("deadline_seconds", search.budget.deadline_seconds, as_double)
-                   .field("max_probes", search.budget.max_probes, as_long);
+                   .field("max_probes", search.budget.max_probes, as_long)
+                   // Retired toggles: each selected a path whose result was
+                   // bit-identical to the default, so ignoring the value
+                   // cannot change a result.
+                   .retired("use_cost_engine")
+                   .retired("use_branch_and_bound")
+                   .retired("use_footprint_tracker")
+                   .retired("greedy_batched_scoring")
+                   .retired("use_footprint_bound")
+                   .retired("bnb_tasks_per_thread")
+                   .retired("bnb_seed_incumbent");
                return search;
              })
       .field("te", config.te,

@@ -1,6 +1,7 @@
 #include "explore/cache.h"
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -267,6 +268,13 @@ std::string ResultCache::to_json(int indent) const {
   return out.str();
 }
 
+bool cacheable(const CacheEntry& entry) {
+  bool completed = entry.status == assign::SearchStatus::Optimal ||
+                   entry.status == assign::SearchStatus::Feasible;
+  auto possible = [](double cost) { return std::isfinite(cost) && cost >= 0.0; };
+  return completed && possible(entry.cycles) && possible(entry.energy_nj);
+}
+
 const ResultCache::Entry* ResultCache::find(std::uint64_t key) const {
   auto it = entries_.find(key);
   return it == entries_.end() ? nullptr : &it->second;
@@ -281,10 +289,9 @@ bool ResultCache::lookup(std::uint64_t key, CacheEntry& out) {
 
 bool ResultCache::insert(std::uint64_t key, CacheEntry entry) {
   // The cacheability guard lives here, in the cache layer itself: a
-  // truncated (BudgetExhausted) or infeasible result must never be stored,
-  // no matter which caller produced it — its value depends on knobs the
-  // cache key normalizes away.
-  if (!cacheable_status(entry.status)) return false;
+  // truncated, infeasible or impossible result must never be stored, no
+  // matter which caller (or file) produced it.
+  if (!cacheable(entry)) return false;
   entries_[key] = std::move(entry);
   return true;
 }

@@ -37,21 +37,22 @@ struct CacheEntry {
   /// assign/search_status.h).  Only completed results are cacheable: a
   /// budget-truncated result depends on knobs the cache key deliberately
   /// normalizes away, and an infeasible one must never be served at all.
-  /// Every insert path enforces this (see `cacheable_status`).
+  /// Every insert path enforces this (see `cacheable`).
   assign::SearchStatus status = assign::SearchStatus::Feasible;
 
   friend bool operator==(const CacheEntry&, const CacheEntry&) = default;
 };
 
 /// The one cacheability rule, enforced inside the cache layer itself (not
-/// just by well-behaved callers): only `Optimal` and `Feasible` results may
-/// be stored.  `BudgetExhausted` results depend on the pruning/deadline
-/// knobs the cache key normalizes away, and `Infeasible` assignments must
-/// never be consumed — caching either would let a stale or truncated run
-/// poison every later exploration that hits the key.
-inline bool cacheable_status(assign::SearchStatus status) {
-  return status == assign::SearchStatus::Optimal || status == assign::SearchStatus::Feasible;
-}
+/// just by well-behaved callers), so file loads and merges obey it too:
+/// only `Optimal` and `Feasible` results with a finite, non-negative cost
+/// pair may be stored.  `BudgetExhausted` results depend on the deadline
+/// knobs the cache key normalizes away, `Infeasible` assignments must never
+/// be consumed, and a NaN, infinite or negative cycle or energy count is an
+/// impossible cost (an overflowed count, say) — caching any of them would
+/// let a truncated or broken run poison every later exploration that hits
+/// the key.
+bool cacheable(const CacheEntry& entry);
 
 /// Minimal store interface the explorer runs against: copy-out lookup and
 /// guarded insert.  Implemented by the single-threaded `ResultCache` (batch
@@ -69,8 +70,7 @@ class ResultStore {
   virtual bool lookup(std::uint64_t key, CacheEntry& out) = 0;
 
   /// Store `entry` at `key` (last write wins).  Returns false — and stores
-  /// nothing — when `entry.status` is not cacheable (see
-  /// `cacheable_status`).
+  /// nothing — when `entry` is not cacheable (see `cacheable`).
   virtual bool insert(std::uint64_t key, CacheEntry entry) = 0;
 };
 

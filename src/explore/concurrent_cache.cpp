@@ -70,7 +70,7 @@ bool ConcurrentResultCache::lookup(std::uint64_t key, CacheEntry& out) {
 }
 
 bool ConcurrentResultCache::insert(std::uint64_t key, CacheEntry entry) {
-  if (!cacheable_status(entry.status)) {
+  if (!cacheable(entry)) {
     rejected_.add();
     return false;
   }

@@ -40,7 +40,7 @@ struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;  ///< accepted inserts (including overwrites)
-  std::uint64_t rejected = 0;    ///< inserts refused by the status guard
+  std::uint64_t rejected = 0;    ///< inserts refused by the cacheability guard
   std::uint64_t evictions = 0;
   std::uint64_t saves = 0;       ///< completed persistence passes
 };
@@ -58,8 +58,9 @@ struct CacheStats {
 ///    from that shard's cold tail.  Every eviction claims its decrement of
 ///    the global size with a compare-exchange that refuses to cross
 ///    `evict_floor`, so the floor holds under any interleaving.
-///  * **Status guard.**  Same contract as every cache layer: only
-///    `Optimal`/`Feasible` entries are accepted (`cacheable_status`).
+///  * **Cacheability guard.**  Same contract as every cache layer: only
+///    `Optimal`/`Feasible` entries with a finite, non-negative cost pair
+///    are accepted (`cacheable`); refusals count as `rejected`.
 ///  * **Persistence.**  `save`/`save_if_dirty` snapshot the shards into a
 ///    plain ResultCache and reuse its crash-safe temp+fsync+rename saver
 ///    (with its FaultInjector IoWrite sites), so a crash mid-persist leaves

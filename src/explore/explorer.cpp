@@ -123,16 +123,13 @@ CellKeyer::CellKeyer(const std::string& program_text, core::PipelineConfig base)
       program_hash_(fnv1a64("\x1f", fnv1a64(program_text))) {
   // The key covers everything that determines the cell's cost pair: the
   // program text and the *effective* pipeline document of the cell.  The
-  // thread counts are zeroed and the bnb-par pruning knobs reset —
-  // parallelism must never change a key, and those knobs only steer
-  // pruning (the bnb-par optimum is bit-identical for any setting).
-  // That guarantee assumes the state budget does not bind; budget-bound
-  // search results are therefore never cached (the cache layer's status
-  // guard enforces it), so every cached entry really is knob-independent.
+  // thread counts are zeroed — parallelism must never change a key (the
+  // bnb-par optimum is bit-identical for any thread count).  That
+  // guarantee assumes the state budget does not bind; budget-bound search
+  // results are therefore never cached (the cache layer's status guard
+  // enforces it), so every cached entry really is thread-count-independent.
   base_.num_threads = 0;
   base_.search.bnb_threads = 0;
-  base_.search.bnb_tasks_per_thread = assign::SearchOptions{}.bnb_tasks_per_thread;
-  base_.search.bnb_seed_incumbent = assign::SearchOptions{}.bnb_seed_incumbent;
   // The run budget is normalized away for the same reason: it cannot
   // change a completed result, and budget-truncated results are never
   // cached, so cached entries are shareable across deadline settings.

@@ -146,9 +146,9 @@ class Explorer {
 /// serialized program, the *normalized* effective PipelineConfig, and the
 /// transfer mode.  `effective` must already carry the cell's layer sizes
 /// and strategy; this normalizes away everything that cannot change a
-/// completed result — thread counts, the bnb-par pruning knobs, and the
-/// run budget (budget-truncated results are never cached, see
-/// `cacheable_status`) — so parallelism and deadlines never change a key.
+/// completed result — thread counts and the run budget (budget-truncated
+/// results are never cached, see `cacheable`) — so parallelism and
+/// deadlines never change a key.
 /// Shared by the Explorer and by `mhla_serve`'s single-run submit path, so
 /// an explore-warmed cache answers matching submits and vice versa.
 std::uint64_t design_cache_key(const std::string& program_text,

@@ -8,6 +8,7 @@
 #include "assign/greedy.h"
 #include "helpers.h"
 #include "gen/random_program.h"
+#include "oracles/oracles.h"
 
 namespace mhla::assign {
 namespace {
@@ -136,17 +137,97 @@ TEST(CostEngine, PropertyRandomApplyUndoSequences) {
   }
 }
 
-/// Greedy with the engine must make the exact decisions of the reference
-/// from-scratch greedy: same moves, same evaluations, same result bits.
+/// The batched select-copy scorer against the cycle it stands for —
+/// checkpoint, select_copy, fits() && layering_valid(), scalar(), undo —
+/// slot by slot, from engine states reached by random select, migrate and
+/// remove moves: every verdict must match, and every accepted slot's scalar
+/// must match bit for bit (a rejected slot's scalar is unspecified).
+TEST(CostEngine, BatchedScoresMatchApplyUndo) {
+  long accepted = 0;
+  long rejected = 0;
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    mem::PlatformConfig platform = testing::small_platform();
+    if (seed % 3 == 0) platform.l2_bytes = 0;  // single on-chip layer
+    auto ws = make_ws(gen::random_program(seed), platform);
+    auto ctx = ws->context();
+    CostEngine engine(ctx);
+    Objective objective = make_objective(ctx, seed % 4 == 1 ? 0.0 : 1.0, seed % 4 == 2 ? 0.0 : 1.0);
+
+    std::mt19937 rng(seed * 7919);
+    auto pick = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+    const int background = ctx.hierarchy.background();
+    const auto& candidates = ctx.reuse.candidates();
+    const auto& arrays = ctx.program.arrays();
+    std::vector<int> cc_ids;
+    std::vector<int> layers;
+    std::vector<double> scalars;
+    std::vector<unsigned char> ok;
+
+    for (int step = 0; step < 30; ++step) {
+      // One random move; the scorer requires a layering-valid live state,
+      // so a move that breaks the layering is undone.
+      CostEngine::Checkpoint before = engine.checkpoint();
+      int action = pick(0, 2);
+      if (action == 0 && !candidates.empty() && background > 0) {
+        int cc = pick(0, static_cast<int>(candidates.size()) - 1);
+        if (!engine.has_copy(cc)) engine.select_copy(cc, pick(0, background - 1));
+      } else if (action == 1 && !engine.placed_copies().empty()) {
+        const auto& copies = engine.placed_copies();
+        engine.remove_copy(
+            copies[static_cast<std::size_t>(pick(0, static_cast<int>(copies.size()) - 1))].cc_id);
+      } else if (action == 2 && !arrays.empty()) {
+        engine.migrate_array(static_cast<std::size_t>(pick(0, static_cast<int>(arrays.size()) - 1)),
+                             pick(0, ctx.hierarchy.num_layers() - 1));
+      }
+      if (!engine.layering_valid()) engine.undo_to(before);
+
+      cc_ids.clear();
+      layers.clear();
+      for (const analysis::CopyCandidate& cc : candidates) {
+        if (cc.elems <= 0 || engine.has_copy(cc.id)) continue;
+        for (int layer = 0; layer < background; ++layer) {
+          cc_ids.push_back(cc.id);
+          layers.push_back(layer);
+        }
+      }
+      scalars.assign(cc_ids.size(), 0.0);
+      ok.assign(cc_ids.size(), 0);
+      engine.score_select_candidates(objective, cc_ids.data(), layers.data(), cc_ids.size(),
+                                     scalars.data(), ok.data());
+
+      const Assignment live = engine.assignment();
+      for (std::size_t m = 0; m < cc_ids.size(); ++m) {
+        CostEngine::Checkpoint mark = engine.checkpoint();
+        engine.select_copy(cc_ids[m], layers[m]);
+        bool expected = engine.fits() && engine.layering_valid();
+        EXPECT_EQ(ok[m] != 0, expected)
+            << "seed " << seed << " step " << step << " cc " << cc_ids[m] << " layer " << layers[m];
+        if (expected) {
+          EXPECT_EQ(scalars[m], engine.scalar(objective))
+              << "seed " << seed << " step " << step << " cc " << cc_ids[m] << " layer "
+              << layers[m];
+          ++accepted;
+        } else {
+          ++rejected;
+        }
+        engine.undo_to(mark);
+      }
+      ASSERT_EQ(engine.assignment(), live) << "seed " << seed << " step " << step;
+    }
+  }
+  // Both verdicts must actually occur, or the comparison is vacuous.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+/// Greedy with the engine must make the exact decisions of the from-scratch
+/// oracle: same moves, same evaluations, same result bits.
 TEST(CostEngine, GreedyEquivalenceOnRandomPrograms) {
   for (std::uint32_t seed = 1; seed <= 10; ++seed) {
     auto ws = make_ws(gen::random_program(seed));
     auto ctx = ws->context();
-    GreedyOptions with_engine;
-    GreedyOptions reference;
-    reference.use_cost_engine = false;
-    GreedyResult fast = greedy_assign(ctx, with_engine);
-    GreedyResult slow = greedy_assign(ctx, reference);
+    GreedyResult fast = greedy_assign(ctx);
+    GreedyResult slow = oracles::greedy_reference(ctx);
     EXPECT_EQ(fast.assignment, slow.assignment) << "seed " << seed;
     EXPECT_EQ(fast.final_scalar, slow.final_scalar) << "seed " << seed;
     EXPECT_EQ(fast.evaluations, slow.evaluations) << "seed " << seed;
@@ -175,21 +256,12 @@ TEST(CostEngine, ExhaustiveEquivalenceOnRandomPrograms) {
     std::size_t placements = ctx.reuse.candidates().size() *
                              static_cast<std::size_t>(ctx.hierarchy.background());
     if (placements > kReferencePlacementGuard) continue;
-    ExhaustiveOptions engine_options;
-    ExhaustiveOptions reference_options;
-    reference_options.use_cost_engine = false;
-    ExhaustiveOptions mirror_options;
-    mirror_options.use_branch_and_bound = false;
-    ExhaustiveResult pruned = exhaustive_assign(ctx, engine_options);
-    ExhaustiveResult reference = exhaustive_assign(ctx, reference_options);
+    ExhaustiveResult pruned = exhaustive_assign(ctx);
+    ExhaustiveResult reference = oracles::exhaustive_reference(ctx);
     if (pruned.exhausted_budget || reference.exhausted_budget) continue;
     EXPECT_EQ(pruned.assignment, reference.assignment) << "seed " << seed;
     EXPECT_EQ(pruned.scalar, reference.scalar) << "seed " << seed;
     EXPECT_LE(pruned.states_explored, reference.states_explored) << "seed " << seed;
-    ExhaustiveResult mirror = exhaustive_assign(ctx, mirror_options);
-    EXPECT_EQ(mirror.assignment, reference.assignment) << "seed " << seed;
-    EXPECT_EQ(mirror.scalar, reference.scalar) << "seed " << seed;
-    EXPECT_EQ(mirror.states_explored, reference.states_explored) << "seed " << seed;
     ++checked;
   }
   EXPECT_GT(checked, 0) << "no random instance was small enough to cross-check";

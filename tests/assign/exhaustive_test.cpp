@@ -9,6 +9,7 @@
 #include "core/driver.h"
 #include "gen/random_program.h"
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla::assign {
 namespace {
@@ -71,9 +72,7 @@ TEST(Exhaustive, ThrowsOnLargeInstance) {
   auto ws = make_ws(mhla::apps::build_wavelet());
   auto ctx = ws->context();
   EXPECT_THROW(exhaustive_assign(ctx), std::invalid_argument);
-  ExhaustiveOptions reference;
-  reference.use_cost_engine = false;
-  EXPECT_THROW(exhaustive_assign(ctx, reference), std::invalid_argument);
+  EXPECT_THROW(oracles::exhaustive_reference(ctx), std::invalid_argument);
 }
 
 TEST(Exhaustive, ReferenceGuardStillRejectsMediumInstance) {
@@ -81,9 +80,7 @@ TEST(Exhaustive, ReferenceGuardStillRejectsMediumInstance) {
   // reference enumeration but within the branch-and-bound guard.
   auto ws = make_ws(mhla::apps::build_motion_estimation());
   auto ctx = ws->context();
-  ExhaustiveOptions reference;
-  reference.use_cost_engine = false;
-  EXPECT_THROW(exhaustive_assign(ctx, reference), std::invalid_argument);
+  EXPECT_THROW(oracles::exhaustive_reference(ctx), std::invalid_argument);
 }
 
 TEST(Exhaustive, BranchAndBoundAcceptsMediumInstance) {
@@ -109,36 +106,21 @@ TEST(Exhaustive, EngineMatchesReferenceEnumeration) {
   platform.l2_bytes = 0;
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
-  ExhaustiveOptions engine_options;
-  ExhaustiveOptions reference_options;
-  reference_options.use_cost_engine = false;
-  ExhaustiveResult pruned = exhaustive_assign(ctx, engine_options);
-  ExhaustiveResult reference = exhaustive_assign(ctx, reference_options);
+  ExhaustiveResult pruned = exhaustive_assign(ctx);
+  ExhaustiveResult reference = oracles::exhaustive_reference(ctx);
   EXPECT_EQ(pruned.assignment, reference.assignment);
   EXPECT_EQ(pruned.scalar, reference.scalar);  // bit-identical
   EXPECT_LE(pruned.states_explored, reference.states_explored);
-
-  // Without branch-and-bound the engine mirrors the reference DFS exactly,
-  // state for state.
-  ExhaustiveOptions mirror_options;
-  mirror_options.use_branch_and_bound = false;
-  ExhaustiveResult mirror = exhaustive_assign(ctx, mirror_options);
-  EXPECT_EQ(mirror.assignment, reference.assignment);
-  EXPECT_EQ(mirror.scalar, reference.scalar);
-  EXPECT_EQ(mirror.states_explored, reference.states_explored);
 }
 
 TEST(Exhaustive, StateBudgetIsHonored) {
-  mem::PlatformConfig platform;
-  platform.l1_bytes = 256;
-  platform.l2_bytes = 0;
-  auto ws = make_ws(micro_program(), platform);
+  // Six candidates on two on-chip layers: even from the greedy incumbent
+  // the search needs more than two states (on the single-candidate micro
+  // program the seed alone can prune it down to two).
+  auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   ExhaustiveOptions options;
   options.max_states = 2;
-  // With the greedy incumbent seed the whole search can legitimately finish
-  // inside two states; unseeded it cannot, which is what this test needs.
-  options.seed_incumbent = false;
   ExhaustiveResult result = exhaustive_assign(ctx, options);
   EXPECT_TRUE(result.exhausted_budget);
   EXPECT_LE(result.states_explored, 3);

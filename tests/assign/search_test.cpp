@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla::assign {
 namespace {
@@ -13,8 +15,8 @@ namespace {
 using ir::av;
 using testing::make_ws;
 
-/// Small single-array program every registered strategy (including the
-/// reference enumeration with its 24-placement guard) accepts.
+/// Small single-array program every registered strategy (and the reference
+/// enumeration oracle, with its 24-placement guard) accepts.
 ir::Program micro_program() {
   ir::ProgramBuilder pb("micro");
   pb.array("a", {16}, 4).input();
@@ -76,7 +78,12 @@ TEST(Search, AllRegisteredStrategiesRunOnAMicroInstance) {
   auto ws = make_ws(micro_program(), micro_platform());
   auto ctx = ws->context();
   std::vector<std::string> names = searcher_names();
-  ASSERT_GE(names.size(), 5u);
+  // One production search per strategy; registrations made by other tests
+  // ("test-" prefix) are not built-ins.
+  std::vector<std::string> built_in;
+  std::copy_if(names.begin(), names.end(), std::back_inserter(built_in),
+               [](const std::string& name) { return name.rfind("test-", 0) != 0; });
+  EXPECT_EQ(built_in, (std::vector<std::string>{"anneal", "bnb", "bnb-par", "greedy"}));
   for (const std::string& name : names) {
     const Searcher& strategy = searcher(name);
     EXPECT_EQ(strategy.name(), name);
@@ -91,7 +98,7 @@ TEST(Search, AllRegisteredStrategiesRunOnAMicroInstance) {
 TEST(Search, ExhaustiveVariantsAgreeOnTheOptimum) {
   auto ws = make_ws(micro_program(), micro_platform());
   auto ctx = ws->context();
-  SearchResult reference = searcher("exhaustive-ref").search(ctx, {});
+  ExhaustiveResult reference = oracles::exhaustive_reference(ctx);
   SearchResult bnb = searcher("bnb").search(ctx, {});
   SearchResult bnb_par = searcher("bnb-par").search(ctx, {});
   EXPECT_EQ(bnb.scalar, reference.scalar);
@@ -101,19 +108,6 @@ TEST(Search, ExhaustiveVariantsAgreeOnTheOptimum) {
   EXPECT_GT(reference.states_explored, 0);
   // The bound must have cut states, never added them.
   EXPECT_LE(bnb.states_explored, reference.states_explored);
-}
-
-TEST(Search, GreedyRefForcesTheReferencePath) {
-  // Whatever the toggle says, "greedy-ref" runs from scratch and must match
-  // the engine-backed "greedy" bit for bit (the engine contract).
-  auto ws = make_ws(testing::blocked_reuse_program());
-  auto ctx = ws->context();
-  SearchOptions engine_on;  // defaults: use_cost_engine = true
-  SearchResult ref = searcher("greedy-ref").search(ctx, engine_on);
-  SearchResult fast = searcher("greedy").search(ctx, engine_on);
-  EXPECT_EQ(ref.assignment, fast.assignment);
-  EXPECT_EQ(ref.scalar, fast.scalar);
-  EXPECT_EQ(ref.evaluations, fast.evaluations);
 }
 
 TEST(Search, UnknownNameThrowsListingTheRegistry) {

@@ -65,13 +65,7 @@ PipelineConfig custom_config() {
   config.search.max_moves = 500;
   config.search.max_states = 12345;
   config.search.allow_array_migration = false;
-  config.search.use_cost_engine = false;
-  config.search.use_branch_and_bound = false;
-  config.search.use_footprint_tracker = false;
-  config.search.use_footprint_bound = false;
   config.search.bnb_threads = 6;
-  config.search.bnb_tasks_per_thread = 2;
-  config.search.bnb_seed_incumbent = false;
   config.search.bnb_work_stealing = false;
   config.te.order = te::ExtensionOrder::BySizeDescending;
   config.te.max_lookahead = 5;
@@ -216,17 +210,105 @@ TEST(PipelineConfigJson, BnbParKnobsRoundTrip) {
   // (CustomConfigRoundTripsLosslessly covers non-default values).
   PipelineConfig parsed = pipeline_config_from_json(
       R"({"strategy": "bnb-par",
-          "search": {"bnb_threads": 4, "bnb_tasks_per_thread": 8,
-                     "bnb_seed_incumbent": false}})");
+          "search": {"bnb_threads": 4, "bnb_work_stealing": false}})");
   EXPECT_EQ(parsed.strategy, "bnb-par");
   EXPECT_EQ(parsed.search.bnb_threads, 4u);
-  EXPECT_EQ(parsed.search.bnb_tasks_per_thread, 8);
-  EXPECT_FALSE(parsed.search.bnb_seed_incumbent);
+  EXPECT_FALSE(parsed.search.bnb_work_stealing);
 
   std::string dumped = to_json(PipelineConfig{});
   EXPECT_NE(dumped.find("bnb_threads"), std::string::npos);
-  EXPECT_NE(dumped.find("bnb_tasks_per_thread"), std::string::npos);
-  EXPECT_NE(dumped.find("bnb_seed_incumbent"), std::string::npos);
+  EXPECT_NE(dumped.find("bnb_work_stealing"), std::string::npos);
+}
+
+/// `mhla_tool --dump-config` as written before seven search toggles were
+/// retired, verbatim: the document still carries every retired key.
+constexpr const char* kDumpWithRetiredToggles = R"json({
+  "platform": {
+    "l1_bytes": 4096,
+    "l2_bytes": 131072,
+    "sram": {"base_energy_nj": 0.02, "slope_energy_nj": 0.0025000000000000001, "write_factor": 1.1499999999999999, "base_latency": 1, "latency_step_bytes": 32768, "bytes_per_cycle": 8},
+    "sdram": {"read_energy_nj": 4, "write_energy_nj": 4.4000000000000004, "read_latency": 20, "write_latency": 20, "bytes_per_cycle": 2}
+  },
+  "dma": {"present": true, "setup_cycles": 30, "bytes_per_cycle": 2, "channels": 1},
+  "strategy": "greedy",
+  "target": "balanced",
+  "search": {"energy_weight": 1, "time_weight": 1, "max_moves": 100000, "max_states": 2000000, "allow_array_migration": true, "use_cost_engine": true, "use_branch_and_bound": true, "use_footprint_tracker": true, "greedy_batched_scoring": true, "use_footprint_bound": true,
+               "anneal_iterations": 2000, "anneal_seed": 1, "anneal_initial_temp": 0.050000000000000003, "anneal_cooling": 0.997,
+               "bnb_threads": 0, "bnb_tasks_per_thread": 4, "bnb_seed_incumbent": true, "bnb_work_stealing": true,
+               "deadline_seconds": 0, "max_probes": 0},
+  "te": {"order": "time_per_byte", "max_lookahead": 3, "charge_cold_start": false, "use_footprint_tracker": true},
+  "num_threads": 0
+})json";
+
+TEST(PipelineConfigJson, DumpWithRetiredTogglesStillLoadsAndRunsIdentically) {
+  PipelineConfig parsed = pipeline_config_from_json(kDumpWithRetiredToggles);
+  EXPECT_EQ(parsed, PipelineConfig{});
+  // The current dump no longer carries the retired keys.
+  std::string dumped = to_json(parsed);
+  for (const char* retired :
+       {"use_cost_engine", "use_branch_and_bound", "greedy_batched_scoring",
+        "use_footprint_bound", "bnb_tasks_per_thread", "bnb_seed_incumbent"}) {
+    EXPECT_EQ(dumped.find(retired), std::string::npos) << retired;
+  }
+  for (const char* strategy : {"greedy", "bnb"}) {
+    SCOPED_TRACE(strategy);
+    PipelineConfig old_document = parsed;
+    old_document.strategy = strategy;
+    PipelineConfig current;
+    current.strategy = strategy;
+    auto ws = make_workspace(testing::blocked_reuse_program(), current.platform, current.dma);
+    PipelineResult from_old = Pipeline(old_document).run(*ws);
+    PipelineResult from_current = Pipeline(current).run(*ws);
+    expect_same_points(from_old.points, from_current.points, strategy);
+    EXPECT_EQ(from_old.search.assignment, from_current.search.assignment);
+    EXPECT_EQ(from_old.search.scalar, from_current.search.scalar);
+  }
+}
+
+TEST(PipelineConfigJson, RetiredToggleValuesAreIgnored) {
+  // Each retired toggle selected a path bit-identical to the default, so
+  // its value is read and dropped — off gives the default result.
+  PipelineConfig parsed = pipeline_config_from_json(R"({"search": {"use_cost_engine": false}})");
+  EXPECT_EQ(parsed, PipelineConfig{});
+  PipelineConfig all_off = pipeline_config_from_json(
+      R"({"search": {"use_cost_engine": false, "use_branch_and_bound": false,
+                     "use_footprint_tracker": false, "greedy_batched_scoring": false,
+                     "use_footprint_bound": false, "bnb_tasks_per_thread": 1,
+                     "bnb_seed_incumbent": false}})");
+  EXPECT_EQ(all_off, PipelineConfig{});
+  auto ws = make_workspace(testing::blocked_reuse_program(), {}, {});
+  PipelineResult off = Pipeline(parsed).run(*ws);
+  PipelineResult defaults = Pipeline(PipelineConfig{}).run(*ws);
+  expect_same_points(off.points, defaults.points, "use_cost_engine=false");
+  EXPECT_EQ(off.search.assignment, defaults.search.assignment);
+  EXPECT_EQ(off.search.evaluations, defaults.search.evaluations);
+}
+
+TEST(PipelineConfigJson, MisspelledSearchKeyStillThrows) {
+  try {
+    pipeline_config_from_json(R"({"search": {"use_cost_engin": true}})");
+    FAIL() << "expected an unknown-key error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("search.use_cost_engin"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PipelineConfigJson, RetiredStrategyNameListsTheFourStrategies) {
+  PipelineConfig config = pipeline_config_from_json(R"({"strategy": "greedy-ref"})");
+  try {
+    Pipeline pipeline(config);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    std::string message = e.what();
+    std::string listed = message.substr(message.find("registered strategies:"));
+    for (const char* name : {" anneal", " bnb", " bnb-par", " greedy"}) {
+      EXPECT_NE(listed.find(name), std::string::npos) << name << " in " << message;
+    }
+    EXPECT_EQ(listed.find("greedy-ref"), std::string::npos) << message;
+    EXPECT_EQ(listed.find("exhaustive"), std::string::npos) << message;
+  }
 }
 
 TEST(PipelineConfigJson, MalformedInputGivesClearErrors) {

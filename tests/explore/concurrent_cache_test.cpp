@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,6 +99,88 @@ TEST(CacheStatusGuard, StatusRoundTripsAndPreStatusDocumentsLoadFeasible) {
   ResultCache migrated = ResultCache::from_json(legacy);
   ASSERT_NE(migrated.find(42), nullptr);
   EXPECT_EQ(migrated.find(42)->status, assign::SearchStatus::Feasible);
+}
+
+/// Completed entries whose cost pair is impossible: NaN, either infinity,
+/// or negative, in either field.
+std::vector<CacheEntry> impossible_entries() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<CacheEntry> entries;
+  for (double bad : {nan, inf, -inf, -1.0, -4.7e19}) {
+    CacheEntry cycles = entry_for(entries.size() + 10, assign::SearchStatus::Optimal);
+    cycles.cycles = bad;
+    entries.push_back(cycles);
+    CacheEntry energy = entry_for(entries.size() + 10, assign::SearchStatus::Feasible);
+    energy.energy_nj = bad;
+    entries.push_back(energy);
+  }
+  return entries;
+}
+
+TEST(CacheStatusGuard, BothStoresRefuseImpossibleCosts) {
+  ResultCache single;
+  ConcurrentResultCache concurrent;
+  ASSERT_TRUE(single.insert(1, entry_for(1)));
+  ASSERT_TRUE(concurrent.insert(1, entry_for(1)));
+  std::vector<CacheEntry> bad = impossible_entries();
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    EXPECT_FALSE(cacheable(bad[i]));
+    EXPECT_FALSE(single.insert(100 + i, bad[i]));
+    EXPECT_FALSE(concurrent.insert(100 + i, bad[i]));
+    // Nor may an impossible value overwrite a good entry.
+    EXPECT_FALSE(single.insert(1, bad[i]));
+    EXPECT_FALSE(concurrent.insert(1, bad[i]));
+  }
+  EXPECT_EQ(single.size(), 1u);
+  EXPECT_EQ(concurrent.size(), 1u);
+  EXPECT_EQ(*single.find(1), entry_for(1));
+  CacheEntry out;
+  ASSERT_TRUE(concurrent.lookup(1, out));
+  EXPECT_EQ(out, entry_for(1));
+  EXPECT_EQ(concurrent.stats().rejected, 2 * bad.size());
+
+  // Zero is a possible cost.
+  CacheEntry zero = entry_for(2);
+  zero.cycles = 0.0;
+  zero.energy_nj = 0.0;
+  EXPECT_TRUE(single.insert(2, zero));
+  EXPECT_TRUE(concurrent.insert(2, zero));
+}
+
+TEST(CacheStatusGuard, DocumentWithAnImpossibleCostLoadsWithoutIt) {
+  // The overflowed 3000-nest reproducer's energy: a "feasible" entry with
+  // a negative cost must not survive a load or a merge.
+  const std::string text =
+      "{\n  \"version\": 1,\n  \"entries\": [\n"
+      "    {\"key\": \"000000000000002a\", \"l1_bytes\": 256, \"l2_bytes\": 0,"
+      " \"strategy\": \"greedy\", \"with_te\": true, \"status\": \"feasible\","
+      " \"cycles\": 10.0, \"energy_nj\": 20.0},\n"
+      "    {\"key\": \"000000000000002b\", \"l1_bytes\": 256, \"l2_bytes\": 0,"
+      " \"strategy\": \"greedy\", \"with_te\": false, \"status\": \"feasible\","
+      " \"cycles\": 10.0, \"energy_nj\": -4.7e19}\n  ]\n}";
+  ResultCache parsed = ResultCache::from_json(text);
+  EXPECT_EQ(parsed.size(), 1u);
+  EXPECT_NE(parsed.find(0x2a), nullptr);
+  EXPECT_EQ(parsed.find(0x2b), nullptr);
+
+  std::string path = temp_path("mhla_impossible_cost.json");
+  {
+    std::ofstream out(path);
+    out << text << "\n";
+  }
+  ResultCache::LoadReport report;
+  ResultCache loaded = ResultCache::load(path, report);
+  EXPECT_TRUE(report.clean);
+  EXPECT_EQ(loaded.entries(), parsed.entries());
+
+  ConcurrentResultCache concurrent;
+  concurrent.load_file(path);
+  EXPECT_EQ(concurrent.size(), 1u);
+  CacheEntry out;
+  EXPECT_FALSE(concurrent.lookup(0x2b, out));
+  std::remove(path.c_str());
 }
 
 // --- Bounds: LRU eviction above the cap, a hard floor below ------------------

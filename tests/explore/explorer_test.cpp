@@ -359,12 +359,10 @@ TEST(Explorer, CacheKeysSeparateProgramsAndConfigs) {
   ExploreResult same_key = Explorer(threaded).run(testing::blocked_reuse_program());
   EXPECT_EQ(same_key.evaluations, 0u);
 
-  // The bnb-par knobs only steer pruning (the optimum is bit-identical for
-  // any setting), so they must not change keys either.
+  // Nor is bnb-par's thread count (the optimum is bit-identical for any
+  // setting).
   ExplorerConfig par_knobs = config;
   par_knobs.pipeline.search.bnb_threads = 8;
-  par_knobs.pipeline.search.bnb_tasks_per_thread = 2;
-  par_knobs.pipeline.search.bnb_seed_incumbent = false;
   ExploreResult par_key = Explorer(par_knobs).run(testing::blocked_reuse_program());
   EXPECT_EQ(par_key.evaluations, 0u);
   std::remove(path.c_str());
@@ -378,8 +376,6 @@ std::uint64_t from_scratch_key(const std::string& program_text, core::PipelineCo
                                bool with_te) {
   effective.num_threads = 0;
   effective.search.bnb_threads = 0;
-  effective.search.bnb_tasks_per_thread = assign::SearchOptions{}.bnb_tasks_per_thread;
-  effective.search.bnb_seed_incumbent = assign::SearchOptions{}.bnb_seed_incumbent;
   effective.search.budget = core::BudgetSpec{};
   effective.search.shared_budget = nullptr;
   return fnv1a64(program_text + '\x1f' + core::to_json(effective) + '\x1f' +

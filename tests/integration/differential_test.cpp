@@ -1,18 +1,20 @@
 // Differential-testing harness for the search-strategy registry: every
-// strategy pair with a reference path must agree over a randomized corpus,
-// and every heuristic must be dominated by the exact optimum wherever the
-// optimum is computable.
+// production search must agree with its from-scratch oracle (tests/oracles/)
+// over a randomized corpus, and every heuristic must be dominated by the
+// exact optimum wherever the optimum is computable.
 //
-//   greedy   vs greedy-ref     — bit-identical moves/result (engine contract)
-//   bnb      vs exhaustive-ref — identical optimum (pruning never changes it)
-//   bnb-par  vs bnb            — identical optimum for any thread count,
-//                                under both the work-stealing scheduler and
-//                                the static-split baseline
-//   footprint bound on vs off  — identical optimum, never more states
-//   greedy / anneal            — scalar dominated by the exact optimum
-//   tracker on vs off          — greedy/bnb/anneal unchanged when feasibility
-//                                comes from the incremental FootprintTracker
-//                                instead of a from-scratch fits() per probe
+//   greedy   vs oracles::greedy_reference     — bit-identical, move for move
+//                                               (kind, candidate, array,
+//                                               layer, gain, gain per byte)
+//   bnb      vs oracles::exhaustive_reference — identical optimum (pruning
+//                                               never changes it), never
+//                                               more states
+//   bnb-par  vs bnb                           — identical optimum for any
+//                                               thread count, under both the
+//                                               work-stealing scheduler and
+//                                               the static-split baseline
+//   greedy / anneal                           — scalar dominated by the
+//                                               exact optimum
 //
 // Corpus size: MHLA_DIFF_SEEDS (default 50).  CI runs the full corpus in
 // Release and a reduced one under ASan (the generator is seeded, so seed k
@@ -32,6 +34,7 @@
 #include "explore/explorer.h"
 #include "gen/random_program.h"
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla {
 namespace {
@@ -49,6 +52,26 @@ std::size_t candidate_placements(const assign::AssignContext& ctx) {
          static_cast<std::size_t>(std::max(ctx.hierarchy.background(), 1));
 }
 
+/// Registry greedy against the from-scratch oracle: the same walk, move for
+/// move and bit for bit, not merely the same final assignment.
+void expect_greedy_matches_oracle(const assign::AssignContext& ctx,
+                                  const assign::SearchResult& greedy) {
+  assign::GreedyResult oracle = oracles::greedy_reference(ctx);
+  EXPECT_EQ(greedy.assignment, oracle.assignment);
+  EXPECT_EQ(greedy.scalar, oracle.final_scalar);
+  EXPECT_EQ(greedy.evaluations, oracle.evaluations);
+  ASSERT_EQ(greedy.moves.size(), oracle.moves.size());
+  for (std::size_t i = 0; i < greedy.moves.size(); ++i) {
+    SCOPED_TRACE("move " + std::to_string(i));
+    EXPECT_EQ(greedy.moves[i].kind, oracle.moves[i].kind);
+    EXPECT_EQ(greedy.moves[i].cc_id, oracle.moves[i].cc_id);
+    EXPECT_EQ(greedy.moves[i].array, oracle.moves[i].array);
+    EXPECT_EQ(greedy.moves[i].layer, oracle.moves[i].layer);
+    EXPECT_EQ(greedy.moves[i].gain, oracle.moves[i].gain);
+    EXPECT_EQ(greedy.moves[i].gain_per_byte, oracle.moves[i].gain_per_byte);
+  }
+}
+
 TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
   const int seeds = corpus_seeds();
   int greedy_compared = 0;
@@ -63,59 +86,30 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
     std::size_t placements = candidate_placements(ctx);
 
     // Heuristic pair: engine-backed greedy must replay the from-scratch
-    // reference bit for bit on every instance.
+    // oracle move for move on every instance.
     assign::SearchOptions options;
     assign::SearchResult greedy = assign::searcher("greedy").search(ctx, options);
-    assign::SearchResult greedy_ref = assign::searcher("greedy-ref").search(ctx, options);
-    EXPECT_EQ(greedy.assignment, greedy_ref.assignment);
-    EXPECT_EQ(greedy.scalar, greedy_ref.scalar);
-    EXPECT_EQ(greedy.evaluations, greedy_ref.evaluations);
-    EXPECT_EQ(greedy.moves.size(), greedy_ref.moves.size());
+    expect_greedy_matches_oracle(ctx, greedy);
     EXPECT_TRUE(assign::fits(ctx, greedy.assignment));
     EXPECT_TRUE(assign::layering_valid(ctx, greedy.assignment));
     ++greedy_compared;
 
-    // Feasibility pair: the tracker-backed fits() must not change a single
-    // decision relative to the from-scratch rebuild per probe.
-    assign::SearchOptions scratch_fits = options;
-    scratch_fits.use_footprint_tracker = false;
-    assign::SearchResult greedy_scratch = assign::searcher("greedy").search(ctx, scratch_fits);
-    EXPECT_EQ(greedy_scratch.assignment, greedy.assignment);
-    EXPECT_EQ(greedy_scratch.scalar, greedy.scalar);
-    EXPECT_EQ(greedy_scratch.evaluations, greedy.evaluations);
-
-    // Scoring pair: the batched select-move scorer accumulates each slot's
-    // terms in the canonical summation order, so it must not change a single
-    // decision relative to the checkpoint/apply/undo cycle per candidate.
-    assign::SearchOptions per_candidate = options;
-    per_candidate.greedy_batched_scoring = false;
-    assign::SearchResult greedy_seq = assign::searcher("greedy").search(ctx, per_candidate);
-    EXPECT_EQ(greedy_seq.assignment, greedy.assignment);
-    EXPECT_EQ(greedy_seq.scalar, greedy.scalar);
-    EXPECT_EQ(greedy_seq.evaluations, greedy.evaluations);
-    EXPECT_EQ(greedy_seq.moves.size(), greedy.moves.size());
-
-    // Exact pair: branch-and-bound against the un-pruned reference
-    // enumeration, where the reference guard admits the instance and
+    // Exact pair: branch-and-bound against the un-pruned oracle
+    // enumeration, where the oracle's guard admits the instance and
     // neither search runs out of budget.
     bool have_optimum = false;
     assign::SearchResult optimum;
     if (placements <= assign::kReferencePlacementGuard) {
       assign::SearchOptions exact = options;
       exact.max_states = 120000;
-      assign::SearchResult reference = assign::searcher("exhaustive-ref").search(ctx, exact);
+      assign::ExhaustiveOptions oracle_options;
+      oracle_options.max_states = exact.max_states;
+      assign::ExhaustiveResult reference = oracles::exhaustive_reference(ctx, oracle_options);
       assign::SearchResult bnb = assign::searcher("bnb").search(ctx, exact);
       if (!reference.exhausted_budget && !bnb.exhausted_budget) {
         EXPECT_EQ(bnb.assignment, reference.assignment);
         EXPECT_EQ(bnb.scalar, reference.scalar);
         EXPECT_LE(bnb.states_explored, reference.states_explored);
-        assign::SearchOptions exact_scratch_fits = exact;
-        exact_scratch_fits.use_footprint_tracker = false;
-        assign::SearchResult bnb_scratch =
-            assign::searcher("bnb").search(ctx, exact_scratch_fits);
-        EXPECT_EQ(bnb_scratch.assignment, bnb.assignment);
-        EXPECT_EQ(bnb_scratch.scalar, bnb.scalar);
-        EXPECT_EQ(bnb_scratch.states_explored, bnb.states_explored);
         have_optimum = true;
         optimum = std::move(bnb);
         ++exact_compared;
@@ -161,12 +155,6 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
       assign::SearchResult anneal = assign::searcher("anneal").search(ctx, options);
       EXPECT_TRUE(assign::fits(ctx, anneal.assignment));
       EXPECT_GE(anneal.scalar, optimum.scalar * (1.0 - 1e-9));
-      // The stochastic walk rejects proposals on the feasibility verdict,
-      // so the tracker toggle must reproduce the identical chain.
-      assign::SearchResult anneal_scratch = assign::searcher("anneal").search(ctx, scratch_fits);
-      EXPECT_EQ(anneal_scratch.assignment, anneal.assignment);
-      EXPECT_EQ(anneal_scratch.scalar, anneal.scalar);
-      EXPECT_EQ(anneal_scratch.evaluations, anneal.evaluations);
       ++dominance_checked;
     }
   }
@@ -212,65 +200,17 @@ TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Differential, BatchedGreedyMatchesPerCandidateScoring) {
-  // The batched scorer replays, per slot, exactly the additions totals()
-  // would perform after that one placement, in the identical order — so on
-  // the registry applications every score, verdict, probe point, tie-break,
-  // and accepted move must match the per-candidate apply/undo walk bit for
-  // bit, not merely the final assignment.
+TEST(Differential, GreedyMatchesOracleMoveForMove) {
+  // On the registry applications every score, verdict, probe point,
+  // tie-break and accepted move of the engine walk — batched round scoring
+  // included — must match the from-scratch oracle bit for bit.
   for (const std::string& app : stress_apps()) {
     SCOPED_TRACE(app);
     auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
     auto ctx = ws->context();
-    assign::SearchOptions batched;
-    assign::SearchOptions per_candidate;
-    per_candidate.greedy_batched_scoring = false;
-    assign::SearchResult fast = assign::searcher("greedy").search(ctx, batched);
-    assign::SearchResult slow = assign::searcher("greedy").search(ctx, per_candidate);
-    EXPECT_EQ(fast.assignment, slow.assignment);
-    EXPECT_EQ(fast.scalar, slow.scalar);
-    EXPECT_EQ(fast.evaluations, slow.evaluations);
-    ASSERT_EQ(fast.moves.size(), slow.moves.size());
-    for (std::size_t i = 0; i < fast.moves.size(); ++i) {
-      SCOPED_TRACE("move " + std::to_string(i));
-      EXPECT_EQ(fast.moves[i].kind, slow.moves[i].kind);
-      EXPECT_EQ(fast.moves[i].cc_id, slow.moves[i].cc_id);
-      EXPECT_EQ(fast.moves[i].array, slow.moves[i].array);
-      EXPECT_EQ(fast.moves[i].layer, slow.moves[i].layer);
-      EXPECT_EQ(fast.moves[i].gain, slow.moves[i].gain);
-      EXPECT_EQ(fast.moves[i].gain_per_byte, slow.moves[i].gain_per_byte);
-    }
-  }
-}
-
-TEST(Differential, FootprintBoundTogglePreservesOptimumAndOnlyPrunes) {
-  // The footprint-aware copy-phase bound is admissible: toggling it may only
-  // change how much is pruned, never the optimum — serial and work-stealing
-  // parallel alike.
-  for (const std::string& app : stress_apps()) {
-    SCOPED_TRACE(app);
-    auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
-    auto ctx = ws->context();
-    assign::SearchOptions with_bound;
-    with_bound.use_footprint_bound = true;
-    assign::SearchOptions without_bound;
-    without_bound.use_footprint_bound = false;
-    assign::SearchResult tight = assign::searcher("bnb").search(ctx, with_bound);
-    assign::SearchResult loose = assign::searcher("bnb").search(ctx, without_bound);
-    ASSERT_FALSE(tight.exhausted_budget);
-    ASSERT_FALSE(loose.exhausted_budget);
-    EXPECT_EQ(tight.assignment, loose.assignment);
-    EXPECT_EQ(tight.scalar, loose.scalar);
-    EXPECT_LE(tight.states_explored, loose.states_explored);
-
-    for (unsigned threads : {2u, 4u}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      assign::SearchOptions par_options = without_bound;
-      par_options.bnb_threads = threads;
-      assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, par_options);
-      EXPECT_EQ(parallel.assignment, tight.assignment);
-      EXPECT_EQ(parallel.scalar, tight.scalar);
-    }
+    assign::SearchResult greedy = assign::searcher("greedy").search(ctx, {});
+    EXPECT_FALSE(greedy.moves.empty());
+    expect_greedy_matches_oracle(ctx, greedy);
   }
 }
 

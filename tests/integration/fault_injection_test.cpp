@@ -45,6 +45,7 @@
 #include "explore/explorer.h"
 #include "gen/random_program.h"
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla {
 namespace {
@@ -171,14 +172,32 @@ TEST(FaultInjection, ParallelForStopsClaimingOnceBudgetExpires) {
 TEST(FaultInjection, EveryStrategyDegradesOnInjectedExpiry) {
   auto ws = testing::make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  for (const std::string& strategy : {"greedy", "greedy-ref", "anneal", "bnb", "exhaustive"}) {
+  auto expect_degraded = [&](assign::SearchStatus status, const assign::Assignment& assignment) {
+    EXPECT_EQ(status, assign::SearchStatus::BudgetExhausted);
+    EXPECT_TRUE(assign::fits(ctx, assignment));
+    EXPECT_TRUE(assign::layering_valid(ctx, assignment));
+  };
+  for (const std::string& strategy : assign::searcher_names()) {
+    // Strategies other tests register ("test-" prefix) ignore budgets.
+    if (strategy.rfind("test-", 0) == 0) continue;
     SCOPED_TRACE(strategy);
     core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
     assign::SearchResult result = assign::searcher(strategy).search(ctx, {});
-    EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
+    expect_degraded(result.status, result.assignment);
     EXPECT_TRUE(result.exhausted_budget);
-    EXPECT_TRUE(assign::fits(ctx, result.assignment));
-    EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
+  }
+  {
+    SCOPED_TRACE("oracles::greedy_reference");
+    core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
+    assign::GreedyResult result = oracles::greedy_reference(ctx);
+    expect_degraded(result.status, result.assignment);
+  }
+  {
+    SCOPED_TRACE("oracles::exhaustive_reference");
+    core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
+    assign::ExhaustiveResult result = oracles::exhaustive_reference(ctx);
+    expect_degraded(result.status, result.assignment);
+    EXPECT_TRUE(result.exhausted_budget);
   }
 }
 
@@ -280,13 +299,13 @@ TEST(CancellationConsistency, GreedyTruncatesToAReplayablePrefix) {
     EXPECT_EQ(rebuilt.assignment, truncated.assignment);
     EXPECT_EQ(rebuilt.scalar, truncated.scalar);
 
-    // Reference path truncates at the identical probe, so the degraded
-    // result stays engine/reference bit-identical too.
-    assign::SearchOptions bounded_ref = bounded;
-    bounded_ref.use_cost_engine = false;
-    assign::SearchResult truncated_ref = assign::searcher("greedy").search(ctx, bounded_ref);
+    // The from-scratch oracle truncates at the identical probe, so the
+    // degraded result stays engine/oracle bit-identical too.
+    assign::GreedyOptions bounded_ref;
+    bounded_ref.budget = bounded.budget;
+    assign::GreedyResult truncated_ref = oracles::greedy_reference(ctx, bounded_ref);
     EXPECT_EQ(truncated_ref.assignment, truncated.assignment);
-    EXPECT_EQ(truncated_ref.scalar, truncated.scalar);
+    EXPECT_EQ(truncated_ref.final_scalar, truncated.scalar);
     EXPECT_EQ(truncated_ref.moves.size(), truncated.moves.size());
 
     // Determinism of the truncation point itself.
