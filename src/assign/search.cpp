@@ -227,4 +227,6 @@ void register_searcher(std::unique_ptr<Searcher> strategy) {
   registry()[strategy->name()] = std::move(strategy);
 }
 
+bool unregister_searcher(const std::string& name) { return registry().erase(name) > 0; }
+
 }  // namespace mhla::assign

@@ -142,4 +142,8 @@ inline const Searcher& make_searcher(const std::string& name) { return searcher(
 /// startup.
 void register_searcher(std::unique_ptr<Searcher> strategy);
 
+/// Remove the strategy registered as `name`; returns whether there was
+/// one.  Same threading caveat as register_searcher.
+bool unregister_searcher(const std::string& name);
+
 }  // namespace mhla::assign

@@ -28,16 +28,19 @@ i64 AffineExpr::evaluate(const std::map<std::string, i64>& binding) const {
   return value;
 }
 
+AffineExpr& AffineExpr::add_term(std::string_view var, i64 coef) {
+  if (coef == 0) return *this;
+  auto [it, inserted] = terms_.try_emplace(std::string(var), coef);
+  if (!inserted) {
+    it->second += coef;
+    if (it->second == 0) terms_.erase(it);
+  }
+  return *this;
+}
+
 AffineExpr& AffineExpr::operator+=(const AffineExpr& rhs) {
   constant_ += rhs.constant_;
-  for (const auto& [var, coef] : rhs.terms_) {
-    i64 merged = coef + this->coef(var);
-    if (merged == 0) {
-      terms_.erase(var);
-    } else {
-      terms_[var] = merged;
-    }
-  }
+  for (const auto& [var, coef] : rhs.terms_) add_term(var, coef);
   return *this;
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace mhla::ir {
 
@@ -42,6 +43,10 @@ class AffineExpr {
   /// Evaluate under a binding of every referenced variable.
   /// Throws std::out_of_range if a referenced variable is unbound.
   i64 evaluate(const std::map<std::string, i64>& binding) const;
+
+  /// Add `coef * var` in place: `*this += variable(var, coef)` without
+  /// the temporary.
+  AffineExpr& add_term(std::string_view var, i64 coef);
 
   AffineExpr& operator+=(const AffineExpr& rhs);
   AffineExpr& operator-=(const AffineExpr& rhs);

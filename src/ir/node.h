@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,10 +62,14 @@ class LoopNode final : public Node {
   i64 upper() const { return upper_; }  ///< exclusive
   i64 step() const { return step_; }
 
-  /// Number of iterations (0 if the range is empty).
+  /// Number of iterations (0 if the range is empty).  Computed in
+  /// unsigned arithmetic, so extreme bounds cannot overflow; a count
+  /// above the i64 range reads negative, which ir::validate refuses.
   i64 trip() const {
     if (upper_ <= lower_ || step_ <= 0) return 0;
-    return (upper_ - lower_ + step_ - 1) / step_;
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(upper_) - static_cast<std::uint64_t>(lower_);
+    return static_cast<i64>((span - 1) / static_cast<std::uint64_t>(step_) + 1);
   }
 
   const std::vector<NodePtr>& body() const { return body_; }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "ir/program.h"
@@ -29,9 +30,16 @@ namespace mhla::ir {
 /// boundary (see DESIGN.md).
 std::string serialize(const Program& program);
 
-/// Parse the format back; throws std::invalid_argument with a line number
-/// on malformed input.  `serialize(parse_program(serialize(p)))` is the
-/// identity for every valid program.
+/// Deepest loop nesting parse_program accepts.  The registry apps nest at
+/// most 6 deep; the cap bounds the parser and every recursive walk of a
+/// parsed tree on hostile input.
+inline constexpr std::size_t kMaxLoopDepth = 64;
+
+/// Parse the format back.  Malformed input throws std::invalid_argument,
+/// or std::out_of_range for a number outside i64, with the line number in
+/// the message; so do loops nested deeper than kMaxLoopDepth.
+/// `serialize(parse_program(serialize(p)))` is the identity for every
+/// valid program.
 Program parse_program(const std::string& text);
 
 /// Parse one affine expression, e.g. "16*by+y-3".  Exposed for tests.

@@ -134,7 +134,12 @@ void JobQueue::cancel_all() {
 }
 
 void JobQueue::retire_locked(std::uint64_t id) {
-  if (jobs_.find(id) == jobs_.end()) return;
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return;
+  // A status row reads only the id, the command and the state.  No other
+  // thread reads the spec any more: a worker retires its own job through
+  // finish(), every other caller a job no worker has claimed.
+  it->second->spec = JobSpec{it->second->spec.command};
   terminal_fifo_.push_back(id);
   while (terminal_fifo_.size() > retain_terminal_) {
     jobs_.erase(terminal_fifo_.front());

@@ -40,9 +40,12 @@ class EventSink {
 /// Everything a worker needs to run one job.  The program rides as its
 /// canonical serialized text — validated and re-serialized at submission,
 /// re-parsed by the worker.  The text is simultaneously the cache-key
-/// component (see xplore::design_cache_key), and parsing is trivial next to
-/// a pipeline run, so carrying the parsed (move-only) form too buys
-/// nothing.
+/// component (see xplore::design_cache_key).  Parsing is not free: on the
+/// nine registry apps and six random programs it takes ~3–30 µs per
+/// program, against ~40–1000 µs for a pipeline run on the default
+/// platform (docs/perf.md, "IR front end"), and each cold submit parses
+/// twice.  Carrying the parsed (move-only) form instead would save that,
+/// at the cost of holding a program tree per queued job.
 struct JobSpec {
   Command command = Command::Submit;
   std::string program_text;
@@ -76,9 +79,11 @@ enum class CancelOutcome {
 /// FIFO queue plus registry of the jobs the server has accepted.  Terminal
 /// jobs are retained for `status` queries only up to a bounded window
 /// (`retain_terminal`, FIFO over completion order) — without the bound a
-/// long-running server leaks one map entry plus the full program text per
-/// request.  All methods are thread-safe; `pop` blocks until a job is
-/// available or the queue is closed.
+/// long-running server leaks one map entry per request.  A retired job
+/// keeps only what a status row reads: its spec is reset to the command,
+/// releasing the program text, config and explore parameters (~1 KB per
+/// job on the registry apps).  All methods are thread-safe; `pop` blocks
+/// until a job is available or the queue is closed.
 class JobQueue {
  public:
   explicit JobQueue(std::size_t retain_terminal = 1024)

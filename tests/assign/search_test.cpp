@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 #include "helpers.h"
@@ -78,12 +77,8 @@ TEST(Search, AllRegisteredStrategiesRunOnAMicroInstance) {
   auto ws = make_ws(micro_program(), micro_platform());
   auto ctx = ws->context();
   std::vector<std::string> names = searcher_names();
-  // One production search per strategy; registrations made by other tests
-  // ("test-" prefix) are not built-ins.
-  std::vector<std::string> built_in;
-  std::copy_if(names.begin(), names.end(), std::back_inserter(built_in),
-               [](const std::string& name) { return name.rfind("test-", 0) != 0; });
-  EXPECT_EQ(built_in, (std::vector<std::string>{"anneal", "bnb", "bnb-par", "greedy"}));
+  // One production search per strategy.
+  EXPECT_EQ(names, (std::vector<std::string>{"anneal", "bnb", "bnb-par", "greedy"}));
   for (const std::string& name : names) {
     const Searcher& strategy = searcher(name);
     EXPECT_EQ(strategy.name(), name);
@@ -142,14 +137,24 @@ TEST(Search, CustomStrategyCanBeRegistered) {
       return result;
     }
   };
-  register_searcher(std::make_unique<Fixed>());
-  auto ws = make_ws(micro_program(), micro_platform());
-  auto ctx = ws->context();
-  SearchResult result = searcher("test-fixed").search(ctx, {});
-  EXPECT_TRUE(result.assignment.copies.empty());
-  EXPECT_GT(result.scalar, 0.0);
-  std::vector<std::string> names = searcher_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "test-fixed"), names.end());
+  // The registry is process-wide: the strategy leaves it when the block
+  // ends, however it ends, so later tests see only the built-ins.
+  const std::vector<std::string> built_in = searcher_names();
+  {
+    struct Registration {
+      Registration() { register_searcher(std::make_unique<Fixed>()); }
+      ~Registration() { unregister_searcher("test-fixed"); }
+    } registration;
+    auto ws = make_ws(micro_program(), micro_platform());
+    auto ctx = ws->context();
+    SearchResult result = searcher("test-fixed").search(ctx, {});
+    EXPECT_TRUE(result.assignment.copies.empty());
+    EXPECT_GT(result.scalar, 0.0);
+    std::vector<std::string> names = searcher_names();
+    EXPECT_NE(std::find(names.begin(), names.end(), "test-fixed"), names.end());
+  }
+  EXPECT_EQ(searcher_names(), built_in);
+  EXPECT_FALSE(unregister_searcher("test-fixed"));
 }
 
 }  // namespace

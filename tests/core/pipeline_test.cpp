@@ -7,6 +7,7 @@
 #include "core/json.h"
 #include "core/json_report.h"
 #include "helpers.h"
+#include "ir/serialize.h"
 
 namespace mhla::core {
 namespace {
@@ -112,6 +113,22 @@ TEST(Pipeline, RunFromProgramMatchesRunFromWorkspace) {
   PipelineResult from_ws = pipeline.run(*ws);
   PipelineResult from_program = pipeline.run(testing::blocked_reuse_program());
   expect_same_points(from_program.points, from_ws.points, "blocked");
+}
+
+TEST(Pipeline, RefusesProgramsWhoseAccessCountsOverflow) {
+  // Four loops of 2^20 iterations around one read: 2^80 dynamic accesses
+  // wrap i64 to 0, so the run reported 0 cycles and 0 nJ before validation
+  // checked the products.  It is refused before any stage reports a cost.
+  std::string text = "program wraps\narray a 1 : elem 4 input\n";
+  for (int d = 0; d < 4; ++d) text += "loop i" + std::to_string(d) + " 0 1048576 1 {\n";
+  text += "stmt s ops 1 {\nread a [0]\n}\n}\n}\n}\n}\n";
+  Pipeline pipeline(PipelineConfig{});
+  try {
+    PipelineResult result = pipeline.run(ir::parse_program(text));
+    ADD_FAILURE() << "accepted; energy " << result.points.mhla.energy_nj;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("more than 2^53"), std::string::npos) << error.what();
+  }
 }
 
 TEST(Pipeline, UnknownStrategyThrowsAtConstruction) {

@@ -178,8 +178,6 @@ TEST(FaultInjection, EveryStrategyDegradesOnInjectedExpiry) {
     EXPECT_TRUE(assign::layering_valid(ctx, assignment));
   };
   for (const std::string& strategy : assign::searcher_names()) {
-    // Strategies other tests register ("test-" prefix) ignore budgets.
-    if (strategy.rfind("test-", 0) == 0) continue;
     SCOPED_TRACE(strategy);
     core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
     assign::SearchResult result = assign::searcher(strategy).search(ctx, {});

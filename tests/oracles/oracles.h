@@ -1,14 +1,23 @@
 #pragma once
 
-// From-scratch reference searches.  Each one re-evaluates every candidate
-// state with `estimate_cost` over a copied assignment — no cost engine, no
-// footprint tracker, no pruning — so it shares no incremental machinery
-// with the production search it checks.  They live with the tests (library
-// `mhla_oracles`, also linked by bench_search_scaling) and are never
-// reachable from the strategy registry.
+// Reference implementations the production code is equivalence-tested
+// against.  They live with the tests (library `mhla_oracles`, also linked
+// by bench_search_scaling) and no production path can reach them.
+//
+// The from-scratch searches re-evaluate every candidate state with
+// `estimate_cost` over a copied assignment — no cost engine, no footprint
+// tracker, no pruning — so they share no incremental machinery with the
+// production search they check.  The front-end references are the
+// previous implementations of the program-text parser and of the
+// copy-candidate generation, kept verbatim.
 
+#include <string>
+#include <vector>
+
+#include "analysis/reuse.h"
 #include "assign/exhaustive.h"
 #include "assign/greedy.h"
+#include "ir/program.h"
 
 namespace mhla::oracles {
 
@@ -27,5 +36,25 @@ assign::GreedyResult greedy_reference(const assign::AssignContext& ctx,
 /// `assign::kReferencePlacementGuard` placements, budget or not.
 assign::ExhaustiveResult exhaustive_reference(const assign::AssignContext& ctx,
                                               const assign::ExhaustiveOptions& options = {});
+
+/// Line-based program-text parser: `std::getline` into a vector of lines,
+/// an `std::istringstream` per line to split tokens, `std::stoll` for
+/// every number, recursive descent over loops.  Up to `ir::kMaxLoopDepth`
+/// nesting it accepts and rejects what `ir::parse_program` does (same
+/// exception type, same line), except on a content line with no token
+/// (e.g. " \r" or "\v"): there it dereferences an empty token vector,
+/// which is undefined behaviour.  Its number, subscript and add_array
+/// errors name no line; deeper nesting can overflow the stack.
+ir::Program parse_program_reference(const std::string& text);
+
+/// The affine-subscript parser `parse_program_reference` uses.
+ir::AffineExpr parse_affine_reference(const std::string& text);
+
+/// Copy candidates from a std::map of (array name, nest, fixed-loop
+/// preorder prefix) partitions, with a name-keyed coefficient map per
+/// (member, dim) as the symbolic-base signature.  Same candidates, field
+/// for field and in the same order, as `analysis::ReuseAnalysis::run`.
+std::vector<analysis::CopyCandidate> reuse_reference(
+    const ir::Program& program, const std::vector<analysis::AccessSite>& sites);
 
 }  // namespace mhla::oracles

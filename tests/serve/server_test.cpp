@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "ir/serialize.h"
 #include "serve/framing.h"
+#include "serve/job_queue.h"
 #include "serve/protocol.h"
 #include "serve/socket.h"
 
@@ -334,6 +335,30 @@ TEST(Server, MalformedRequestsYieldErrorEventsAndKeepTheConnection) {
   EXPECT_EQ(client.next().at("event").string(), "status");
 }
 
+TEST(Server, DeeplyNestedSubmitGetsAnErrorAndServingContinues) {
+  Server server({});
+  TestClient client(server.port());
+
+  // 100,000 nested loops, 2.3 MB of program text: a recursive parse would
+  // overflow the session thread's stack.  The parser's nesting cap turns
+  // it into an error event.
+  std::string text = "program deep\narray a 1 : elem 4\n";
+  for (int d = 0; d < 100'000; ++d) text += "loop i" + std::to_string(d) + " 0 1 1 {\n";
+  text += "stmt s ops 1 {\nread a [0]\n}\n";
+  for (int d = 0; d < 100'000; ++d) text += "}\n";
+  Request deep = submit_request(mhla::testing::tiny_stream_program());
+  deep.program_text = text;
+  client.send(deep);
+  Json error = client.next();
+  EXPECT_EQ(error.at("event").string(), "error");
+  EXPECT_NE(error.at("message").string().find("deeper than"), std::string::npos)
+      << error.at("message").string();
+
+  client.send(submit_request(mhla::testing::tiny_stream_program()));
+  client.next_named("accepted");
+  EXPECT_EQ(client.next_named("done").at("state").string(), "done");
+}
+
 TEST(Server, ShutdownVerbDrainsAndPersistsForAWarmRestart) {
   const std::string cache_path = temp_path("mhla_server_restart_cache.json");
   Json cold_done;
@@ -417,6 +442,28 @@ TEST(Server, JobRetentionBoundsTheRegistryAndCountersSumToAccepted) {
   status.has_job = true;
   client.send(status);
   EXPECT_TRUE(client.next_named("status").at("jobs").array().empty());
+}
+
+TEST(JobQueue, RetiredJobsKeepOnlyTheirStatusRow) {
+  JobQueue queue(4);
+  JobSpec spec;
+  spec.command = Command::Explore;
+  spec.program_text = std::string(4096, '#');
+  spec.explore.l1_axis = {128, 256};
+  std::shared_ptr<Job> job = queue.accept(std::move(spec), nullptr);
+  ASSERT_TRUE(job);
+  ASSERT_TRUE(queue.enqueue(job));
+  ASSERT_EQ(queue.pop(), job);
+  EXPECT_EQ(job->spec.program_text.size(), 4096u);  // the worker still reads it
+
+  queue.finish(*job, JobState::Done);
+  EXPECT_TRUE(job->spec.program_text.empty());
+  EXPECT_TRUE(job->spec.explore.l1_axis.empty());
+  std::vector<JobStatusView> rows = queue.snapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].job, job->id);
+  EXPECT_EQ(rows[0].command, Command::Explore);
+  EXPECT_EQ(rows[0].state, "done");
 }
 
 TEST(Server, CancelWhileQueuedEmitsImmediateTerminalEvent) {
