@@ -28,7 +28,7 @@ void print_comparison() {
     sim::SimResult fixed =
         sim::simulate(ctx, assign::static_baseline_assign(ctx).assignment);
     sim::SimResult mhla =
-        sim::simulate(ctx, assign::mhla_step1(ctx).assignment);
+        sim::simulate(ctx, bench::greedy_step1(ctx).assignment);
 
     table.add_row({info.name,
                    core::Table::num(sim::percent_of(fixed.total_cycles(), oob.total_cycles())),

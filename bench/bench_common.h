@@ -13,7 +13,7 @@
 #include <thread>
 
 #include "apps/registry.h"
-#include "core/driver.h"
+#include "core/pipeline.h"
 #include "core/report_table.h"
 #include "explore/sweep.h"
 
@@ -34,9 +34,14 @@ namespace mhla::bench {
 inline mem::PlatformConfig default_platform() { return mem::PlatformConfig{}; }
 
 /// Run the full two-step flow for one app on the default platform.
-inline core::RunResult run_app(const apps::AppInfo& info) {
-  auto ws = core::make_workspace(info.build(), default_platform(), mem::DmaEngine{});
-  return core::run_mhla(*ws);
+inline core::PipelineResult run_app(const apps::AppInfo& info) {
+  return core::Pipeline(core::PipelineConfig{}).run(info.build());
+}
+
+/// MHLA step 1 alone: the greedy search on the balanced target.
+inline assign::SearchResult greedy_step1(const assign::AssignContext& ctx) {
+  return assign::searcher("greedy").search(
+      ctx, assign::SearchOptions{}.set_target(assign::Target::Balanced));
 }
 
 /// The run-metadata object every bench embeds in its JSON summary as

@@ -17,7 +17,7 @@ void print_figure2() {
                       "MHLA improves performance up to 60 %; TE boosts further toward ideal");
   core::Table table({"application", "out-of-box", "MHLA", "MHLA+TE", "ideal", "TE gain"});
   for (const apps::AppInfo& info : apps::all_apps()) {
-    core::RunResult run = bench::run_app(info);
+    core::PipelineResult run = bench::run_app(info);
     const sim::FourPoint& fp = run.points;
     double base = fp.out_of_box.total_cycles();
     double mhla = sim::percent_of(fp.mhla.total_cycles(), base);
@@ -36,7 +36,7 @@ void BM_Step1Assignment(benchmark::State& state) {
   auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
   for (auto _ : state) {
     auto ctx = ws->context();
-    benchmark::DoNotOptimize(assign::mhla_step1(ctx));
+    benchmark::DoNotOptimize(bench::greedy_step1(ctx));
   }
   state.SetLabel(info.name);
 }
@@ -45,8 +45,9 @@ BENCHMARK(BM_Step1Assignment)->DenseRange(0, 8);
 void BM_FullTwoStepFlow(benchmark::State& state) {
   const apps::AppInfo& info = apps::all_apps()[static_cast<std::size_t>(state.range(0))];
   auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
+  const core::Pipeline pipeline(core::PipelineConfig{});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_mhla(*ws));
+    benchmark::DoNotOptimize(pipeline.run(ws->analysis()));
   }
   state.SetLabel(info.name);
 }

@@ -18,7 +18,7 @@ void print_figure3() {
       {"application", "out-of-box", "MHLA", "MHLA+TE", "reduction", "TE delta"});
   double best = 0.0;
   for (const apps::AppInfo& info : apps::all_apps()) {
-    core::RunResult run = bench::run_app(info);
+    core::PipelineResult run = bench::run_app(info);
     const sim::FourPoint& fp = run.points;
     double base = fp.out_of_box.energy_nj;
     double mhla = sim::percent_of(fp.mhla.energy_nj, base);
@@ -36,7 +36,7 @@ void BM_EnergyEvaluation(benchmark::State& state) {
   const apps::AppInfo& info = apps::all_apps()[static_cast<std::size_t>(state.range(0))];
   auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
   auto ctx = ws->context();
-  assign::Assignment a = assign::mhla_step1(ctx).assignment;
+  assign::Assignment a = bench::greedy_step1(ctx).assignment;
   for (auto _ : state) {
     sim::AccessTally tally = sim::tally_accesses(ctx, a);
     benchmark::DoNotOptimize(sim::tally_energy_nj(ctx.hierarchy, tally));

@@ -36,7 +36,7 @@ void print_ablation() {
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = core::make_workspace(info.build(), tight, {});
     auto ctx = ws->context();
-    assign::Assignment a = assign::mhla_step1(ctx).assignment;
+    assign::Assignment a = bench::greedy_step1(ctx).assignment;
     auto bts = te::collect_block_transfers(ctx, a);
     double blocking = te::total_stall_cycles(bts, te::TransferMode::Blocking, nullptr);
     if (blocking <= 0.0) continue;
@@ -63,7 +63,7 @@ void print_ablation() {
   core::Table depth_table({"max lookahead", "hidden cycles", "stall cycles"});
   auto ws = core::make_workspace(apps::build_adpcm_coder(), tight, {});
   auto ctx = ws->context();
-  assign::Assignment a = assign::mhla_step1(ctx).assignment;
+  assign::Assignment a = bench::greedy_step1(ctx).assignment;
   auto bts = te::collect_block_transfers(ctx, a);
   for (int depth : {0, 1, 2, 3, 4, 8}) {
     te::TeOptions options;
@@ -137,7 +137,7 @@ void BM_TimeExtension(benchmark::State& state) {
   const apps::AppInfo& info = apps::all_apps()[static_cast<std::size_t>(state.range(0))];
   auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
   auto ctx = ws->context();
-  assign::Assignment a = assign::mhla_step1(ctx).assignment;
+  assign::Assignment a = bench::greedy_step1(ctx).assignment;
   auto bts = te::collect_block_transfers(ctx, a);
   for (auto _ : state) {
     benchmark::DoNotOptimize(te::time_extend(ctx, a, bts));

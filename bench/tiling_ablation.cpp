@@ -46,7 +46,7 @@ void print_tiling_study() {
     auto ws = core::make_workspace(std::move(program), platform, {});
     auto ctx = ws->context();
     sim::SimResult oob = sim::simulate(ctx, assign::out_of_box(ctx));
-    assign::GreedyResult greedy = assign::mhla_step1(ctx);
+    assign::SearchResult greedy = bench::greedy_step1(ctx);
     sim::SimResult opt = sim::simulate(ctx, greedy.assignment,
                                        {te::TransferMode::TimeExtended, {}});
     table.add_row({label,
@@ -81,8 +81,11 @@ void BM_TiledPipeline(benchmark::State& state) {
   platform.l1_bytes = 2 * 1024;
   platform.l2_bytes = 0;
   auto ws = core::make_workspace(std::move(tiled), platform, {});
+  core::PipelineConfig config;
+  config.platform = platform;
+  const core::Pipeline pipeline(config);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_mhla(*ws));
+    benchmark::DoNotOptimize(pipeline.run(ws->analysis()));
   }
 }
 BENCHMARK(BM_TiledPipeline);

@@ -22,7 +22,7 @@ void print_tool_stats() {
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
     auto ctx = ws->context();
-    assign::GreedyResult greedy = assign::mhla_step1(ctx);
+    assign::SearchResult greedy = bench::greedy_step1(ctx);
     table.add_row({info.name, std::to_string(ws->sites().size()),
                    std::to_string(ws->reuse().candidates().size()),
                    std::to_string(greedy.moves.size()), std::to_string(greedy.evaluations)});

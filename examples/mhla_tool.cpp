@@ -418,7 +418,7 @@ int run_tool(Options& options) {
         std::cerr << "stage " << stage << ": " << core::Table::num(seconds * 1e3, 2) << " ms\n";
       });
     }
-    core::PipelineResult run = pipeline.run(*ws);
+    core::PipelineResult run = pipeline.run(ws->analysis());
     run.timings.front().seconds = analyze_s;  // run(Workspace) reports 0 for "analyze"
     run.total_seconds += analyze_s;
 

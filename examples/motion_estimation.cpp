@@ -54,7 +54,7 @@ int main() {
     config.platform.l1_bytes = c.l1;
     config.platform.l2_bytes = c.l2;
     auto ws = core::make_workspace(apps::build_motion_estimation(), config.platform, config.dma);
-    core::PipelineResult run = core::Pipeline(config).run(*ws);
+    core::PipelineResult run = core::Pipeline(config).run(ws->analysis());
 
     std::cout << "================ platform: " << c.label << " ================\n";
     describe_assignment(*ws, run.search.assignment);

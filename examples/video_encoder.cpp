@@ -26,7 +26,7 @@ int main() {
   auto ws = core::make_workspace(apps::build_mpeg2_encoder(), config.platform, config.dma);
   for (const char* label : {"energy", "time", "balanced"}) {
     config.target = assign::parse_target(label);
-    core::PipelineResult run = core::Pipeline(config).run(*ws);
+    core::PipelineResult run = core::Pipeline(config).run(ws->analysis());
     double time_pct = sim::percent_of(run.points.mhla_te.total_cycles(),
                                       run.points.out_of_box.total_cycles());
     double energy_pct =
@@ -42,7 +42,7 @@ int main() {
   core::PipelineConfig config_nodma = config;
   config_nodma.dma.present = false;
 
-  core::PipelineResult with_dma = core::Pipeline(config).run(*ws);
+  core::PipelineResult with_dma = core::Pipeline(config).run(ws->analysis());
   core::PipelineResult without_dma =
       core::Pipeline(config_nodma).run(apps::build_mpeg2_encoder());
   double base = with_dma.points.out_of_box.total_cycles();

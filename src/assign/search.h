@@ -22,8 +22,8 @@ enum class Target {
 };
 
 /// The one named-Target -> (energy_weight, time_weight) mapping.  Every
-/// caller — the legacy `mhla_step1` shim, the pipeline, the sweep — goes
-/// through here, so a target always means the same weights everywhere.
+/// evaluation goes through here (via `SearchOptions::set_target` in
+/// `core::evaluate_cell`), so a target always means the same weights.
 /// Target::Custom has no canonical weights and throws; use
 /// `SearchOptions::set_target`, which keeps the explicit weights for it.
 std::pair<double, double> target_weights(Target target);

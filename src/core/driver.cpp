@@ -4,32 +4,24 @@
 
 namespace mhla::core {
 
-Workspace::Workspace(ir::Program program, const mem::PlatformConfig& platform,
-                     const mem::DmaEngine& dma)
-    : program_(std::move(program)),
-      hierarchy_(mem::make_hierarchy(platform)),
-      dma_(dma),
+ProgramAnalysis::ProgramAnalysis(const ir::Program& program)
+    : program_(program),
       sites_(analysis::collect_sites(program_)),
       reuse_(analysis::ReuseAnalysis::run(program_, sites_)),
       live_(analysis::array_live_ranges(program_, sites_)),
       deps_(analysis::DependenceInfo::run(program_, sites_)) {}
 
+Workspace::Workspace(ir::Program program, const mem::PlatformConfig& platform,
+                     const mem::DmaEngine& dma)
+    : program_(std::move(program)),
+      analysis_(program_),
+      hierarchy_(mem::make_hierarchy(platform)),
+      dma_(dma) {}
+
 std::unique_ptr<Workspace> make_workspace(ir::Program program, const mem::PlatformConfig& platform,
                                           const mem::DmaEngine& dma) {
   ir::validate_or_throw(program);
   return std::unique_ptr<Workspace>(new Workspace(std::move(program), platform, dma));
-}
-
-RunResult run_mhla(const Workspace& workspace, assign::Target target,
-                   const te::TeOptions& te_options) {
-  assign::AssignContext ctx = workspace.context();
-  assign::Step1Options step1_options;
-  step1_options.target = target;
-
-  RunResult result;
-  result.step1 = assign::mhla_step1(ctx, step1_options);
-  result.points = sim::simulate_four_points(ctx, result.step1.assignment, te_options);
-  return result;
 }
 
 }  // namespace mhla::core

@@ -311,8 +311,7 @@ std::string to_json(const PipelineConfig& config, int indent) {
       << ", \"max_probes\": " << search.budget.max_probes << "},\n";
   out << p1 << "\"te\": {\"order\": \"" << order_name(config.te.order)
       << "\", \"max_lookahead\": " << config.te.max_lookahead
-      << ", \"charge_cold_start\": " << bool_text(config.te.charge_cold_start)
-      << ", \"use_footprint_tracker\": " << bool_text(config.te.use_footprint_tracker) << "},\n";
+      << ", \"charge_cold_start\": " << bool_text(config.te.charge_cold_start) << "},\n";
   out << p1 << "\"num_threads\": " << config.num_threads << "\n";
   out << p0 << "}";
   return out.str();
@@ -401,7 +400,7 @@ PipelineConfig pipeline_config_from_json(const std::string& text) {
                    .field("order", te.order, [](const Json& o) { return parse_order(o.string()); })
                    .field("max_lookahead", te.max_lookahead, as_int)
                    .field("charge_cold_start", te.charge_cold_start, as_bool)
-                   .field("use_footprint_tracker", te.use_footprint_tracker, as_bool);
+                   .retired("use_footprint_tracker");
                return te;
              })
       .field("num_threads", config.num_threads, as_unsigned);

@@ -6,6 +6,7 @@
 
 #include "core/parallel_for.h"
 #include "core/run_budget.h"
+#include "ir/validate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -19,7 +20,123 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// The `search.*` cells every evaluation adds to, looked up once: registry
+/// references are stable, so the per-cell flush from explorer and sweep
+/// workers never takes the registry mutex.
+struct SearchCounters {
+  obs::Counter& states_explored;
+  obs::Counter& bound_prunes;
+  obs::Counter& capacity_prunes;
+  obs::Counter& evaluations;
+  obs::Counter& budget_probes;
+  obs::Histogram& states_per_run;
+};
+
+const SearchCounters& search_counters() {
+  static const SearchCounters counters = [] {
+    obs::Registry& registry = obs::Registry::instance();
+    return SearchCounters{registry.counter("search.states_explored"),
+                          registry.counter("search.bound_prunes"),
+                          registry.counter("search.capacity_prunes"),
+                          registry.counter("search.evaluations"),
+                          registry.counter("search.budget_probes"),
+                          registry.histogram("search.states_per_run")};
+  }();
+  return counters;
+}
+
+double total_of(const std::vector<StageTiming>& timings) {
+  double total = 0.0;
+  for (const StageTiming& timing : timings) total += timing.seconds;
+  return total;
+}
+
 }  // namespace
+
+RunBudget* share_budget(assign::SearchOptions& options, std::optional<RunBudget>& token) {
+  if (!options.shared_budget && options.budget.bounded()) {
+    token.emplace(options.budget);
+    options.shared_budget = &*token;
+  }
+  return options.shared_budget;
+}
+
+PipelineResult evaluate_cell(const ProgramAnalysis& analysis, const PipelineConfig& cell,
+                             const PointRequest& points, const ProgressFn& progress) {
+  PipelineResult result;
+  result.strategy = cell.strategy;
+  const assign::Searcher& strategy = assign::searcher(cell.strategy);
+  const mem::Hierarchy hierarchy = mem::make_hierarchy(cell.platform);
+  const assign::AssignContext ctx = analysis.context(hierarchy, cell.dma);
+
+  assign::SearchOptions options = cell.search;
+  options.set_target(cell.target);
+
+  // One budget token covers the whole cell: the search and the TE pass
+  // share it, so a deadline never restarts per stage.  A batch, sweep or
+  // exploration driver that already holds a token passes it through.
+  std::optional<RunBudget> local_budget;
+  share_budget(options, local_budget);
+
+  // Stage spans carry the StageTiming rows: the span's monotonic clock is
+  // the measurement, and the trace ring sees the same interval.
+  auto stage = [&](const char* name, auto&& body) {
+    obs::Span span(name, "pipeline");
+    body();
+    double seconds = span.finish();
+    result.timings.push_back({name, seconds});
+    if (progress) progress(name, seconds);
+  };
+
+  stage("assign", [&] { result.search = strategy.search(ctx, options); });
+
+  // Each point is an independent simulation.  Time extension applies only
+  // with a transfer engine; without one the mhla_te point is the blocking
+  // simulation (which is what a TE pass without an engine yields).
+  const te::TransferMode extended =
+      cell.dma.present ? te::TransferMode::TimeExtended : te::TransferMode::Blocking;
+  if (points.mhla_te) {
+    stage("time_extend", [&] {
+      te::TeOptions te_options = cell.te;
+      te_options.budget = options.shared_budget;
+      result.points.mhla_te =
+          sim::simulate(ctx, result.search.assignment, {extended, te_options, false});
+    });
+    // A time extension cut short by the token leaves a truncated mhla_te
+    // point behind a finished search: the cell as a whole is truncated, so
+    // no cache admits it.
+    if (result.points.mhla_te.budget_exhausted &&
+        result.search.status != assign::SearchStatus::Infeasible) {
+      result.search.status = assign::SearchStatus::BudgetExhausted;
+    }
+  }
+  if (points.out_of_box || points.mhla || points.ideal) {
+    stage("simulate", [&] {
+      if (points.out_of_box) {
+        result.points.out_of_box =
+            sim::simulate(ctx, assign::out_of_box(ctx), {te::TransferMode::Blocking, {}, false});
+      }
+      if (points.mhla) {
+        result.points.mhla =
+            sim::simulate(ctx, result.search.assignment, {te::TransferMode::Blocking, {}, false});
+      }
+      if (points.ideal) {
+        result.points.ideal =
+            sim::simulate(ctx, result.search.assignment, {te::TransferMode::Ideal, {}, false});
+      }
+    });
+  }
+  result.total_seconds = total_of(result.timings);
+
+  const SearchCounters& counters = search_counters();
+  counters.states_explored.add(result.search.states_explored);
+  counters.bound_prunes.add(result.search.bound_prunes);
+  counters.capacity_prunes.add(result.search.capacity_prunes);
+  counters.evaluations.add(result.search.evaluations);
+  counters.states_per_run.record(result.search.states_explored);
+  if (local_budget) counters.budget_probes.add(local_budget->probes());
+  return result;
+}
 
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
   assign::searcher(config_.strategy);  // validate the name eagerly
@@ -27,87 +144,23 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
 
 PipelineResult Pipeline::run(ir::Program program) const {
   obs::Span span("analyze", "pipeline");
-  std::unique_ptr<Workspace> workspace =
-      make_workspace(std::move(program), config_.platform, config_.dma);
+  ir::validate_or_throw(program);
+  const ProgramAnalysis analysis(program);
   double analyze_s = span.finish();
   if (progress_) progress_("analyze", analyze_s);
-
-  PipelineResult result = run(*workspace);
-  result.timings.front().seconds = analyze_s;  // run() reported 0 for "analyze"
-  result.total_seconds += analyze_s;
-  return result;
+  return evaluate_all(analysis, analyze_s);
 }
 
-PipelineResult Pipeline::run(const Workspace& workspace) const {
-  PipelineResult result;
-  result.strategy = config_.strategy;
-  result.timings.push_back({"analyze", 0.0});
+PipelineResult Pipeline::run(const ProgramAnalysis& analysis) const {
+  return evaluate_all(analysis, 0.0);
+}
 
-  assign::AssignContext ctx = workspace.context();
-  assign::SearchOptions options = config_.search;
-  options.set_target(config_.target);
-
-  // One budget token covers the whole run: the search and the TE pass
-  // share it, so a deadline never restarts per stage.  A batch/exploration
-  // driver that already holds a token passes it through unchanged.
-  std::optional<RunBudget> local_budget;
-  if (!options.shared_budget && options.budget.bounded()) {
-    local_budget.emplace(options.budget);
-    options.shared_budget = &*local_budget;
-  }
-
-  // Stage spans carry the StageTiming rows: the span's monotonic clock is
-  // the measurement, the trace ring sees the same interval, and with
-  // tracing off a span is exactly the two clock reads the old code made.
-  {
-    obs::Span span("assign", "pipeline");
-    result.search = assign::searcher(config_.strategy).search(ctx, options);
-    double assign_s = span.finish();
-    result.timings.push_back({"assign", assign_s});
-    if (progress_) progress_("assign", assign_s);
-  }
-
-  // The four reference points of the paper's figures.  The TE'd simulation
-  // runs the time-extension pass; timing it separately keeps the staged
-  // view honest while the values stay bit-identical to simulate_four_points
-  // (each point is an independent simulation).
-  {
-    obs::Span span("time_extend", "pipeline");
-    te::TeOptions te_options = config_.te;
-    te_options.budget = options.shared_budget;
-    result.points.mhla_te = sim::simulate(ctx, result.search.assignment,
-                                          {te::TransferMode::TimeExtended, te_options, false});
-    double te_s = span.finish();
-    result.timings.push_back({"time_extend", te_s});
-    if (progress_) progress_("time_extend", te_s);
-  }
-
-  {
-    obs::Span span("simulate", "pipeline");
-    result.points.out_of_box =
-        sim::simulate(ctx, assign::out_of_box(ctx), {te::TransferMode::Blocking, {}, false});
-    result.points.mhla =
-        sim::simulate(ctx, result.search.assignment, {te::TransferMode::Blocking, {}, false});
-    result.points.ideal =
-        sim::simulate(ctx, result.search.assignment, {te::TransferMode::Ideal, {}, false});
-    double simulate_s = span.finish();
-    result.timings.push_back({"simulate", simulate_s});
-    if (progress_) progress_("simulate", simulate_s);
-  }
-
-  for (const StageTiming& timing : result.timings) result.total_seconds += timing.seconds;
-
-  // Flush the run's observation counters once, after every stage: the hot
-  // loops accumulated locally (SearchResult carries its own totals), so
-  // this is the only place the registry is touched per run.
-  obs::Registry& registry = obs::Registry::instance();
-  registry.counter("pipeline.runs").add();
-  registry.counter("search.states_explored").add(result.search.states_explored);
-  registry.counter("search.bound_prunes").add(result.search.bound_prunes);
-  registry.counter("search.capacity_prunes").add(result.search.capacity_prunes);
-  registry.counter("search.evaluations").add(result.search.evaluations);
-  registry.histogram("search.states_per_run").record(result.search.states_explored);
-  if (local_budget) registry.counter("search.budget_probes").add(local_budget->probes());
+PipelineResult Pipeline::evaluate_all(const ProgramAnalysis& analysis, double analyze_s) const {
+  PipelineResult result = evaluate_cell(analysis, config_, PointRequest::all(), progress_);
+  result.timings.insert(result.timings.begin(), {"analyze", analyze_s});
+  result.total_seconds = total_of(result.timings);
+  static obs::Counter& runs = obs::Registry::instance().counter("pipeline.runs");
+  runs.add();
   return result;
 }
 
@@ -121,10 +174,7 @@ std::vector<PipelineResult> Pipeline::run_batch(std::vector<ir::Program> program
   // program still runs (degraded, not skipped — results stay positionally
   // aligned), but all of them race the same deadline/probe allowance.
   std::optional<RunBudget> batch_budget;
-  if (!config_.search.shared_budget && config_.search.budget.bounded()) {
-    batch_budget.emplace(config_.search.budget);
-    worker.config_.search.shared_budget = &*batch_budget;
-  }
+  share_budget(worker.config_.search, batch_budget);
 
   std::vector<PipelineResult> results(programs.size());
   parallel_for(programs.size(), config_.num_threads, [&](std::size_t i) {

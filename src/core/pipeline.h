@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,13 +50,62 @@ struct PipelineResult {
   assign::SearchResult search;
   sim::FourPoint points;
   std::vector<StageTiming> timings;
-  double total_seconds = 0.0;
+  double total_seconds = 0.0;  ///< sum of `timings`, in order
 };
 
+/// Called after each stage with the stage name and its wall-clock.
+using ProgressFn = std::function<void(const std::string& stage, double seconds)>;
+
+/// Which of the four reference points a cell evaluation simulates.
+struct PointRequest {
+  bool out_of_box = false;  ///< everything off-chip, no search needed
+  bool mhla = false;        ///< the found assignment, blocking transfers
+  bool mhla_te = false;     ///< the found assignment with time extensions
+  bool ideal = false;       ///< the found assignment, zero-wait transfers
+
+  static PointRequest all() { return {true, true, true, true}; }
+
+  /// The one point that stands for a design cell: `mhla_te` with time
+  /// extensions on, `mhla` with them off (see `canonical_point`).
+  static PointRequest canonical(bool with_te) { return {false, !with_te, with_te, false}; }
+};
+
+/// The canonical point of a cell, out of an evaluation that requested it.
+inline const sim::SimResult& canonical_point(const sim::FourPoint& points, bool with_te) {
+  return with_te ? points.mhla_te : points.mhla;
+}
+
+/// Promote a bounded `options.budget` to one token, constructed in `token`
+/// and shared through `options.shared_budget`, so every search and time
+/// extension that runs with `options` draws on it.  A token the caller
+/// already shares wins; an unbounded spec shares nothing.  Returns
+/// `options.shared_budget`.
+RunBudget* share_budget(assign::SearchOptions& options, std::optional<RunBudget>& token);
+
+/// Evaluate one design cell: the only code that runs a search or a
+/// simulation for Pipeline, Explorer, sweep and serve.  Once per call it
+///  - maps `cell.target` to search weights,
+///  - builds the hierarchy of `cell.platform`,
+///  - makes a run-budget token from `cell.search.budget`, or passes through
+///    `cell.search.shared_budget`, shared by the search and the time
+///    extension,
+///  - runs `cell.strategy`'s search and simulates each requested point,
+///    under time extension only when `cell.dma` is present,
+///  - emits the "assign", "time_extend" and "simulate" spans (the last two
+///    only when a point of theirs was requested), calling `progress` right
+///    after each, and
+///  - adds the search's effort to the `search.*` counters.
+/// A time extension stopped by the token marks the whole cell truncated:
+/// `search.status` becomes BudgetExhausted even when the search finished,
+/// so no cache admits the cell.
+/// Points not requested stay default-constructed.  The result's timings
+/// list the stages that ran; `total_seconds` is their sum.
+PipelineResult evaluate_cell(const ProgramAnalysis& analysis, const PipelineConfig& cell,
+                             const PointRequest& points, const ProgressFn& progress = nullptr);
+
 /// Staged MHLA driver: analyze -> assign -> time-extend -> simulate, with
-/// one PipelineConfig driving every stage.  With the default "greedy"
-/// strategy the simulation points are bit-identical to `run_mhla` on the
-/// same workspace (covered by tests/core/pipeline_test.cpp).
+/// one PipelineConfig driving every stage.  The last three stages are one
+/// `evaluate_cell` of all four points.
 class Pipeline {
  public:
   /// Validates the strategy name against the registry (throws
@@ -67,16 +117,17 @@ class Pipeline {
   /// Called after each stage with the stage name and its wall-clock.
   /// `run_batch` reports once per finished program instead (stage =
   /// program name), serialized by an internal mutex.
-  using ProgressFn = std::function<void(const std::string& stage, double seconds)>;
+  using ProgressFn = core::ProgressFn;
   void set_progress(ProgressFn progress) { progress_ = std::move(progress); }
 
-  /// Full run including the analyze stage (workspace construction).
+  /// Full run including the analyze stage (validation and the program
+  /// analyses).
   PipelineResult run(ir::Program program) const;
 
-  /// Run on an existing workspace; the analyze stage is reported as 0 s.
-  /// The workspace's platform/DMA must match the config (the caller built
-  /// it; the pipeline cannot re-derive it from the workspace).
-  PipelineResult run(const Workspace& workspace) const;
+  /// Run on a prebuilt program analysis (e.g. a workspace's); the analyze
+  /// stage is reported as 0 s.  The analysis carries no platform: the
+  /// config's platform and DMA engine are the only ones used.
+  PipelineResult run(const ProgramAnalysis& analysis) const;
 
   /// One run per program, evaluated on a `core::parallel_for` pool of
   /// `config().num_threads` workers.  Results are positionally aligned with
@@ -84,6 +135,10 @@ class Pipeline {
   std::vector<PipelineResult> run_batch(std::vector<ir::Program> programs) const;
 
  private:
+  /// The four points of `analysis` under `config_`, behind an "analyze"
+  /// stage of `analyze_s` seconds.
+  PipelineResult evaluate_all(const ProgramAnalysis& analysis, double analyze_s) const;
+
   PipelineConfig config_;
   ProgressFn progress_;
 };

@@ -40,46 +40,6 @@ bool search_before(const CellIdx& a, const CellIdx& b) {
   return std::tie(a.strat, a.l2, a.l1) < std::tie(b.strat, b.l2, b.l1);
 }
 
-/// Search effort summed over an exploration's searches, flushed to the
-/// registry once per run under the counter names `Pipeline::run` uses.
-struct SearchTotals {
-  long states_explored = 0;
-  long evaluations = 0;
-  long bound_prunes = 0;
-  long capacity_prunes = 0;
-
-  SearchTotals& operator+=(const SearchTotals& other) {
-    states_explored += other.states_explored;
-    evaluations += other.evaluations;
-    bound_prunes += other.bound_prunes;
-    capacity_prunes += other.capacity_prunes;
-    return *this;
-  }
-};
-
-/// The wave's cache misses that share one search: TE variants of one
-/// (strategy, L2, L1).  Lives for one wave; the search result itself is
-/// dropped once the members are simulated, only its effort is kept.
-struct SearchGroup {
-  std::vector<std::size_t> members;  ///< wave positions, TE order
-  SearchTotals effort;
-};
-
-/// The program-level analyses every cell shares (hierarchy independent).
-/// Built in place and never moved: the analyses point into `sites`.
-struct ProgramAnalyses {
-  explicit ProgramAnalyses(const ir::Program& program)
-      : sites(analysis::collect_sites(program)),
-        reuse(analysis::ReuseAnalysis::run(program, sites)),
-        live(analysis::array_live_ranges(program, sites)),
-        deps(analysis::DependenceInfo::run(program, sites)) {}
-
-  std::vector<analysis::AccessSite> sites;
-  analysis::ReuseAnalysis reuse;
-  std::map<std::string, analysis::LiveRange> live;
-  analysis::DependenceInfo deps;
-};
-
 /// Seed indices of one axis: every `stride`-th point plus the last.
 std::vector<std::size_t> seed_indices(std::size_t n, std::size_t stride) {
   std::vector<std::size_t> indices;
@@ -175,29 +135,23 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
       config_.explore_te && config_.pipeline.dma.present ? std::vector<bool>{false, true}
                                                          : std::vector<bool>{true};
 
-  assign::SearchOptions search = config_.pipeline.search;
-  search.set_target(config_.pipeline.target);
-
-  // One budget token for the whole exploration: every cell search draws on
-  // it, and the wave loop stops scheduling new waves once it has expired.
-  // Expiry inside a wave degrades that wave's cells individually (their
-  // searches return BudgetExhausted, which also makes them uncacheable), so
-  // the deadline only changes *how much* is explored — a completed wave's
-  // samples are the same as without a budget.
+  // One budget token for the whole exploration: every cell's search and
+  // time extension draw on it, and the wave loop stops scheduling new waves
+  // once it has expired.  Expiry inside a wave degrades that wave's cells
+  // individually (their searches return BudgetExhausted, which also makes
+  // them uncacheable), so the deadline only changes *how much* is explored
+  // — a completed wave's samples are the same as without a budget.
+  core::PipelineConfig base = config_.pipeline;
   std::optional<core::RunBudget> local_budget;
-  if (!search.shared_budget && search.budget.bounded()) {
-    local_budget.emplace(search.budget);
-    search.shared_budget = &*local_budget;
-  }
-  core::RunBudget* run_budget = search.shared_budget;
+  core::RunBudget* run_budget = core::share_budget(base.search, local_budget);
 
   const std::string program_text = ir::serialize(program);
   const CellKeyer keyer(program_text, config_.pipeline);
 
   // Program-level analyses are hierarchy independent: built on the first
   // wave with a cell to evaluate (a fully warm replay needs none) and
-  // shared read-only across the worker pool (same as the fixed sweep).
-  std::optional<ProgramAnalyses> analyses;
+  // shared read-only across the worker pool.
+  std::optional<core::ProgramAnalysis> analysis;
 
   auto cell_of = [&](const CellIdx& idx) {
     DesignCell cell;
@@ -207,38 +161,30 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
     cell.with_te = te_variants[idx.te];
     return cell;
   };
-  // One search per group: its cells differ only in the transfer mode, which
-  // the search never sees, so each member simulates the same assignment.
-  auto evaluate_group = [&](SearchGroup& group, std::vector<ExploreSample>& samples,
+  // One evaluation per group: its members (wave positions, TE order) differ
+  // only in the transfer mode, which the search never sees, so each takes
+  // its point from the same search.
+  auto evaluate_group = [&](const std::vector<std::size_t>& group,
+                            std::vector<ExploreSample>& samples,
                             std::vector<assign::SearchStatus>& statuses) {
-    const DesignCell& head = samples[group.members.front()].cell;
-    mem::PlatformConfig platform = config_.pipeline.platform;
-    platform.l1_bytes = head.l1_bytes;
-    platform.l2_bytes = head.l2_bytes;
-    mem::Hierarchy hierarchy = mem::make_hierarchy(platform);
-    assign::AssignContext ctx{program,         analyses->sites, analyses->reuse,
-                              analyses->live,  analyses->deps,  hierarchy,
-                              config_.pipeline.dma};
-    const assign::SearchResult found = assign::searcher(head.strategy).search(ctx, search);
-    group.effort = {found.states_explored, found.evaluations, found.bound_prunes,
-                    found.capacity_prunes};
+    const DesignCell& head = samples[group.front()].cell;
+    core::PipelineConfig cell = base;
+    cell.platform.l1_bytes = head.l1_bytes;
+    cell.platform.l2_bytes = head.l2_bytes;
+    cell.strategy = head.strategy;
+    core::PointRequest request;
+    for (std::size_t w : group) (samples[w].cell.with_te ? request.mhla_te : request.mhla) = true;
+    const core::PipelineResult run = core::evaluate_cell(*analysis, cell, request);
 
-    for (std::size_t w : group.members) {
-      const DesignCell& cell = samples[w].cell;
+    for (std::size_t w : group) {
       // The cell's outcome rides into the cache entry; the cache layer's
       // status guard refuses budget-truncated or infeasible results, so a
       // degraded wave degrades only this run, never the persistent cache.
-      statuses[w] = found.status;
-      sim::SimOptions sim_options;
-      sim_options.mode = cell.with_te && config_.pipeline.dma.present
-                             ? te::TransferMode::TimeExtended
-                             : te::TransferMode::Blocking;
-      sim_options.te = config_.pipeline.te;
-      sim::SimResult sim = sim::simulate(ctx, found.assignment, sim_options);
-
+      statuses[w] = run.search.status;
+      const sim::SimResult& sim = core::canonical_point(run.points, samples[w].cell.with_te);
       TradeoffPoint& point = samples[w].point;
-      point.l1_bytes = cell.l1_bytes;
-      point.l2_bytes = cell.l2_bytes;
+      point.l1_bytes = samples[w].cell.l1_bytes;
+      point.l2_bytes = samples[w].cell.l2_bytes;
       point.cycles = sim.total_cycles();
       point.energy_nj = sim.energy_nj;
     }
@@ -248,7 +194,7 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
   result.lattice_cells =
       l1_axis.size() * l2_axis.size() * config_.strategies.size() * te_variants.size();
 
-  SearchTotals totals;
+  bool truncated = false;  ///< some evaluated cell came back BudgetExhausted
   std::set<CellIdx> scheduled;  ///< seeded or queued for refinement
   std::set<CellIdx> sampled;    ///< has a sample (evaluated or cache-served)
   std::vector<CellIdx> sample_idx;  ///< aligned with result.samples
@@ -335,27 +281,28 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
     }
 
     // The misses of one search form its group.
-    std::vector<SearchGroup> groups;  ///< groups with at least one cache miss
+    std::vector<std::vector<std::size_t>> groups;  ///< groups with at least one cache miss
     std::size_t evaluated = 0;
     std::size_t begin = 0;
     for (std::size_t end : search_ends) {
-      SearchGroup group;
+      std::vector<std::size_t> group;
       for (std::size_t k = begin; k < end; ++k) {
-        if (missed[by_search[k]]) group.members.push_back(by_search[k]);
+        if (missed[by_search[k]]) group.push_back(by_search[k]);
       }
-      evaluated += group.members.size();
-      if (!group.members.empty()) groups.push_back(std::move(group));
+      evaluated += group.size();
+      if (!group.empty()) groups.push_back(std::move(group));
       begin = end;
     }
 
-    if (!groups.empty() && !analyses) analyses.emplace(program);
+    if (!groups.empty() && !analysis) analysis.emplace(program);
     std::vector<assign::SearchStatus> statuses(wave.size(), assign::SearchStatus::Feasible);
     core::parallel_for(groups.size(), config_.pipeline.num_threads, [&](std::size_t g) {
       evaluate_group(groups[g], wave_samples, statuses);
     });
     result.evaluations += evaluated;
     result.searches += groups.size();
-    for (const SearchGroup& group : groups) totals += group.effort;
+    truncated = truncated || std::find(statuses.begin(), statuses.end(),
+                                       assign::SearchStatus::BudgetExhausted) != statuses.end();
 
     // Inserts go in wave order, as single-cell evaluation made them.
     for (std::size_t w = 0; w < wave.size(); ++w) {
@@ -488,18 +435,19 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
     wave.assign(next.begin(), next.end());
   }
 
+  // A cell the budget cut short (the token expired inside the last wave, or
+  // the search hit its own state bound) leaves the exploration incomplete
+  // even when the wave loop ran out of work.
+  if (truncated) result.budget_exhausted = true;
+
   // One registry flush per exploration (the wave loop only touched local
-  // counters, mirroring the searchers' accumulate-then-flush pattern).
+  // counters; each cell's search effort went out with its evaluation).
   obs::Registry& registry = obs::Registry::instance();
   registry.counter("explore.runs").add();
   registry.counter("explore.waves").add(result.rounds);
   registry.counter("explore.cells_evaluated").add(result.evaluations);
   registry.counter("explore.cells_cache_served").add(result.cache_hits);
   registry.gauge("explore.frontier_size").set(static_cast<std::int64_t>(result.frontier.size()));
-  registry.counter("search.states_explored").add(totals.states_explored);
-  registry.counter("search.bound_prunes").add(totals.bound_prunes);
-  registry.counter("search.capacity_prunes").add(totals.capacity_prunes);
-  registry.counter("search.evaluations").add(totals.evaluations);
   if (local_budget) registry.counter("search.budget_probes").add(local_budget->probes());
   return result;
 }

@@ -1,10 +1,13 @@
 #include "explore/sweep.h"
 
 #include <algorithm>
+#include <optional>
+#include <tuple>
 #include <utility>
 
-#include "assign/footprint_tracker.h"
 #include "core/parallel_for.h"
+#include "core/run_budget.h"
+#include "obs/metrics.h"
 
 namespace mhla::xplore {
 
@@ -30,21 +33,14 @@ std::vector<i64> unique_sizes(const std::vector<i64>& sizes) {
 }  // namespace
 
 std::vector<SweepSample> sweep_layer_sizes(const ir::Program& program, const SweepConfig& config) {
-  // Resolve the strategy once (also validates the name before any work).
-  const assign::Searcher& strategy = assign::searcher(config.pipeline.strategy);
-  assign::SearchOptions search = config.pipeline.search;
-  search.set_target(config.pipeline.target);
+  assign::searcher(config.pipeline.strategy);  // validate the name before any work
+  const core::ProgramAnalysis analysis(program);
 
-  // Program-level analyses are hierarchy independent; run them once and
-  // share them read-only across the worker pool.
-  std::vector<analysis::AccessSite> sites = analysis::collect_sites(program);
-  analysis::ReuseAnalysis reuse = analysis::ReuseAnalysis::run(program, sites);
-  std::map<std::string, analysis::LiveRange> live = analysis::array_live_ranges(program, sites);
-  analysis::DependenceInfo deps = analysis::DependenceInfo::run(program, sites);
-
-  // Hierarchy-independent half of the tracker's out-of-box probe, hoisted
-  // out of the per-cell loop.
-  const i64 min_placeable = assign::FootprintTracker::min_placeable_bytes(program, reuse);
+  // A bounded budget becomes one sweep-wide token, like `run_batch`'s: the
+  // deadline covers the whole grid instead of restarting per cell.
+  core::PipelineConfig base = config.pipeline;
+  std::optional<core::RunBudget> sweep_budget;
+  core::share_budget(base.search, sweep_budget);
 
   // Flatten the grid in the canonical (L2 outer, L1 inner) order; each cell
   // writes only its own slot, so the result is identical for any thread
@@ -58,44 +54,24 @@ std::vector<SweepSample> sweep_layer_sizes(const ir::Program& program, const Swe
   }
 
   std::vector<SweepSample> samples(grid.size());
-  core::parallel_for(grid.size(), config.pipeline.num_threads, [&](std::size_t i) {
-    auto [l2, l1] = grid[i];
-    mem::PlatformConfig platform = config.pipeline.platform;
-    platform.l1_bytes = l1;
-    platform.l2_bytes = l2;
-    mem::Hierarchy hierarchy = mem::make_hierarchy(platform);
-
-    assign::AssignContext ctx{program, sites, reuse, live, deps, hierarchy,
-                              config.pipeline.dma};
-
-    // A cell whose every on-chip layer is below the cheapest placeable
-    // object can never leave the out-of-box assignment: no copy and no
-    // migration fits, so every strategy returns out-of-box.  The tracker's
-    // out-of-box probe decides this per hierarchy; skip the search and
-    // sample the out-of-box simulation directly.
-    bool provably_out_of_box =
-        config.skip_infeasible &&
-        assign::FootprintTracker::provably_out_of_box(hierarchy, min_placeable);
-
-    assign::Assignment assignment = provably_out_of_box
-                                        ? assign::out_of_box(ctx)
-                                        : strategy.search(ctx, search).assignment;
-
-    sim::SimOptions sim_options;
-    sim_options.mode = config.with_te && config.pipeline.dma.present
-                           ? te::TransferMode::TimeExtended
-                           : te::TransferMode::Blocking;
-    sim_options.te = config.pipeline.te;
-    sim::SimResult result = sim::simulate(ctx, assignment, sim_options);
+  core::parallel_for(grid.size(), base.num_threads, [&](std::size_t i) {
+    core::PipelineConfig cell = base;
+    std::tie(cell.platform.l2_bytes, cell.platform.l1_bytes) = grid[i];
+    core::PipelineResult run =
+        core::evaluate_cell(analysis, cell, core::PointRequest::canonical(config.with_te));
+    const sim::SimResult& result = core::canonical_point(run.points, config.with_te);
 
     SweepSample& sample = samples[i];
-    sample.point.l1_bytes = l1;
-    sample.point.l2_bytes = l2;
+    sample.point.l1_bytes = cell.platform.l1_bytes;
+    sample.point.l2_bytes = cell.platform.l2_bytes;
     sample.point.cycles = result.total_cycles();
     sample.point.energy_nj = result.energy_nj;
-    sample.assignment = std::move(assignment);
-    sample.te_applied = sim_options.mode == te::TransferMode::TimeExtended;
+    sample.assignment = std::move(run.search.assignment);
+    sample.te_applied = config.with_te && cell.dma.present;
   });
+  if (sweep_budget) {
+    obs::Registry::instance().counter("search.budget_probes").add(sweep_budget->probes());
+  }
   return samples;
 }
 

@@ -26,15 +26,6 @@ struct SweepConfig {
 
   /// Apply time extensions to each sample (requires `pipeline.dma.present`).
   bool with_te = true;
-
-  /// Don't pay a search for provably infeasible cells: when every on-chip
-  /// layer of a cell is smaller than the cheapest placeable object (the
-  /// smallest array and the smallest copy-candidate box), no strategy can
-  /// ever leave the out-of-box assignment, so the cell is sampled by one
-  /// direct out-of-box simulation instead of a full pipeline run.  The
-  /// samples are bit-identical either way (regression-tested); the toggle
-  /// exists for that test.
-  bool skip_infeasible = true;
 };
 
 /// Default sweep grid used by the trade-off benchmark:
@@ -44,10 +35,10 @@ SweepConfig default_sweep();
 /// Run the configured strategy (and optionally TE) for every (L1, L2)
 /// combination of the grid and return every sample.  Repeated sizes are
 /// de-duplicated (first occurrence kept), so the grid holds each cell once.
-/// Program-level analyses run once and are shared read-only; each grid cell
-/// builds its own hierarchy/context and is evaluated on a worker pool
-/// (`config.pipeline.num_threads`), in a deterministic order independent of
-/// the thread count.
+/// The program is analysed once; each grid cell is one `core::evaluate_cell`
+/// on a worker pool (`config.pipeline.num_threads`), in a deterministic
+/// order independent of the thread count.  A bounded run budget is one
+/// sweep-wide token: every cell still runs, degraded once it has expired.
 std::vector<SweepSample> sweep_layer_sizes(const ir::Program& program, const SweepConfig& config);
 
 /// Pareto frontier of a sample set.

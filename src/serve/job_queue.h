@@ -37,17 +37,13 @@ class EventSink {
   virtual bool send(const std::string& line) = 0;
 };
 
-/// Everything a worker needs to run one job.  The program rides as its
-/// canonical serialized text — validated and re-serialized at submission,
-/// re-parsed by the worker.  The text is simultaneously the cache-key
-/// component (see xplore::design_cache_key).  Parsing is not free: on the
-/// nine registry apps and six random programs it takes ~3–30 µs per
-/// program, against ~40–1000 µs for a pipeline run on the default
-/// platform (docs/perf.md, "IR front end"), and each cold submit parses
-/// twice.  Carrying the parsed (move-only) form instead would save that,
-/// at the cost of holding a program tree per queued job.
+/// Everything a worker needs to run one job.  The program is parsed once,
+/// at submission, and rides both parsed and as its canonical serialized
+/// text: the worker runs the parsed form, and the text is the cache-key
+/// component (see xplore::design_cache_key).  Retiring a job releases both.
 struct JobSpec {
   Command command = Command::Submit;
+  std::shared_ptr<const ir::Program> program;
   std::string program_text;
   core::PipelineConfig config;
   ExploreParams explore;
@@ -81,9 +77,9 @@ enum class CancelOutcome {
 /// (`retain_terminal`, FIFO over completion order) — without the bound a
 /// long-running server leaks one map entry per request.  A retired job
 /// keeps only what a status row reads: its spec is reset to the command,
-/// releasing the program text, config and explore parameters (~1 KB per
-/// job on the registry apps).  All methods are thread-safe; `pop` blocks
-/// until a job is available or the queue is closed.
+/// releasing the program (parsed and as text), config and explore
+/// parameters.  All methods are thread-safe; `pop` blocks until a job is
+/// available or the queue is closed.
 class JobQueue {
  public:
   explicit JobQueue(std::size_t retain_terminal = 1024)

@@ -12,6 +12,7 @@
 #include "core/pipeline.h"
 #include "explore/explorer.h"
 #include "ir/serialize.h"
+#include "ir/validate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/framing.h"
@@ -274,10 +275,12 @@ void Server::handle_request(const std::shared_ptr<Session>& session, const std::
       JobSpec spec;
       spec.command = request.command;
       try {
-        // Validate now, fail fast; store the canonical serialization — the
+        // Parse now, fail fast; store the canonical serialization too — the
         // same text the explorer hashes, so formatting differences in the
         // request never split cache keys.
-        spec.program_text = ir::serialize(ir::parse_program(request.program_text));
+        auto program = std::make_shared<const ir::Program>(ir::parse_program(request.program_text));
+        spec.program_text = ir::serialize(*program);
+        spec.program = std::move(program);
       } catch (const std::exception& error) {
         session->send(event_error(error.what()));
         return;
@@ -387,14 +390,14 @@ void Server::run_submit(Job& job) {
   }
 
   // The job's cancel token rides into the run budget, so a `cancel` request
-  // reaches the search through its cooperative probes.
+  // reaches the search through its cooperative probes.  Only the canonical
+  // point is simulated: the one the explorer keys the same cell by.
   effective.search.budget.cancel = job.cancel;
-  core::Pipeline pipeline(effective);
-  core::PipelineResult run = pipeline.run(ir::parse_program(job.spec.program_text));
-
-  // Same point selection as the explorer's canonical variant: the TE'd
-  // simulation when a transfer engine exists, blocking otherwise.
-  const sim::SimResult& point = effective.dma.present ? run.points.mhla_te : run.points.mhla;
+  ir::validate_or_throw(*job.spec.program);
+  const core::ProgramAnalysis analysis(*job.spec.program);
+  core::PipelineResult run =
+      core::evaluate_cell(analysis, effective, core::PointRequest::canonical(with_te));
+  const sim::SimResult& point = core::canonical_point(run.points, with_te);
 
   xplore::CacheEntry entry;
   entry.l1_bytes = effective.platform.l1_bytes;
@@ -433,7 +436,7 @@ void Server::run_explore(Job& job) {
   };
 
   xplore::Explorer explorer(std::move(config));
-  xplore::ExploreResult result = explorer.run(ir::parse_program(job.spec.program_text), cache_);
+  xplore::ExploreResult result = explorer.run(*job.spec.program, cache_);
 
   const bool cancelled =
       job.cancel->load(std::memory_order_relaxed) && result.budget_exhausted;

@@ -37,6 +37,7 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
   std::vector<assign::CopyExtension> extensions;
   if (options.mode == te::TransferMode::TimeExtended) {
     te::TeResult te_result = te::time_extend(ctx, assignment, bts, options.te);
+    result.budget_exhausted = te_result.budget_exhausted;
     result.stall_cycles =
         te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &te_result);
 

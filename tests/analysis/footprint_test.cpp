@@ -1,15 +1,23 @@
-#include "analysis/footprint.h"
+// The bounding-box footprint model (tests/oracles) and its agreement with
+// the copy candidates the reuse analysis generates.
 
 #include <gtest/gtest.h>
 
+#include "analysis/reuse.h"
 #include "analysis/sites.h"
+#include "apps/registry.h"
+#include "gen/random_program.h"
 #include "ir/builder.h"
+#include "oracles/oracles.h"
 
 namespace mhla::analysis {
 namespace {
 
 using ir::ac;
 using ir::av;
+using oracles::Box;
+using oracles::delta_elems;
+using oracles::footprint;
 
 /// Helper: build a program with one access, return (program, site).
 struct OneAccess {
@@ -163,6 +171,35 @@ TEST(DeltaElems, StationaryBoxReloadsWholesale) {
   ir::Program p = pb.finish();
   auto sites = collect_sites(p);
   EXPECT_EQ(delta_elems(*sites[0].array, *sites[0].access, sites[0].path, 1), 16);
+}
+
+/// `ReuseAnalysis::run` computes candidate boxes and transfer deltas with
+/// its own interval and shift arithmetic; for a single-site candidate they
+/// must equal the footprint model's box and delta at the candidate's level.
+void expect_candidates_match_model(const ir::Program& program, int& checked) {
+  std::vector<AccessSite> sites = collect_sites(program);
+  ReuseAnalysis reuse = ReuseAnalysis::run(program, sites);
+  for (const CopyCandidate& cc : reuse.candidates()) {
+    if (cc.site_ids.size() != 1) continue;
+    const AccessSite& site = sites.at(static_cast<std::size_t>(cc.site_ids.front()));
+    const std::size_t fixed = static_cast<std::size_t>(cc.level);
+    EXPECT_EQ(cc.elems, footprint(*site.array, *site.access, site.path, fixed).elems())
+        << program.name() << " candidate " << cc.id;
+    EXPECT_EQ(cc.elems_per_transfer, delta_elems(*site.array, *site.access, site.path, fixed))
+        << program.name() << " candidate " << cc.id;
+    ++checked;
+  }
+}
+
+TEST(Footprint, ModelMatchesSingleSiteReuseCandidates) {
+  int checked = 0;
+  for (const apps::AppInfo& info : apps::all_apps()) {
+    expect_candidates_match_model(info.build(), checked);
+  }
+  for (std::uint32_t seed = 1; seed <= 200; ++seed) {
+    expect_candidates_match_model(gen::random_program(seed), checked);
+  }
+  EXPECT_GT(checked, 1000) << "too few single-site candidates; corpus gone vacuous";
 }
 
 }  // namespace

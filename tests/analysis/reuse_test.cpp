@@ -217,8 +217,8 @@ TEST(Reuse, CandidateIdsDoNotFollowHeapLayout) {
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(describe(a[i]), describe(b[i])) << app.name << " candidate " << i;
     }
-    core::PipelineResult run_a = pipeline.run(*first);
-    core::PipelineResult run_b = pipeline.run(*second);
+    core::PipelineResult run_a = pipeline.run(first->analysis());
+    core::PipelineResult run_b = pipeline.run(second->analysis());
     EXPECT_EQ(run_a.search.evaluations, run_b.search.evaluations) << app.name;
     EXPECT_EQ(run_a.search.scalar, run_b.search.scalar) << app.name;
   }

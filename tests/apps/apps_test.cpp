@@ -79,7 +79,7 @@ TEST_P(PerApp, ExposesRealReuse) {
 
 TEST_P(PerApp, MhlaImprovesTimeAndEnergy) {
   auto ws = testing::make_ws(GetParam().build(), mem::PlatformConfig{});
-  core::RunResult run = core::run_mhla(*ws);
+  testing::ReferenceRun run = testing::reference_run(*ws);
   const sim::FourPoint& fp = run.points;
   EXPECT_LT(fp.mhla.total_cycles(), fp.out_of_box.total_cycles());
   EXPECT_LT(fp.mhla.energy_nj, fp.out_of_box.energy_nj);

@@ -10,6 +10,7 @@
 #include "assign/greedy.h"
 #include "gen/random_program.h"
 #include "helpers.h"
+#include "oracles/oracles.h"
 #include "te/block_transfer.h"
 #include "te/extension.h"
 
@@ -215,7 +216,8 @@ TEST(FootprintTracker, EngineCompositionStaysInLockstep) {
 }
 
 /// Tracker-backed TE must reproduce the reference (clone + from-scratch
-/// fits) path bit for bit: same per-BT decisions, same extension vector.
+/// fits, tests/oracles) bit for bit: same per-BT decisions, same extension
+/// vector.
 TEST(FootprintTracker, TimeExtendEquivalenceOnRandomPrograms) {
   int extended = 0;
   for (std::uint32_t seed = 1; seed <= 10; ++seed) {
@@ -228,11 +230,8 @@ TEST(FootprintTracker, TimeExtendEquivalenceOnRandomPrograms) {
     GreedyResult greedy = greedy_assign(ctx);
     std::vector<te::BlockTransfer> bts = te::collect_block_transfers(ctx, greedy.assignment);
 
-    te::TeOptions with_tracker;
-    te::TeOptions reference;
-    reference.use_footprint_tracker = false;
-    te::TeResult fast = te::time_extend(ctx, greedy.assignment, bts, with_tracker);
-    te::TeResult slow = te::time_extend(ctx, greedy.assignment, bts, reference);
+    te::TeResult fast = te::time_extend(ctx, greedy.assignment, bts);
+    te::TeResult slow = oracles::time_extend_reference(ctx, greedy.assignment, bts);
 
     ASSERT_EQ(fast.extensions.size(), slow.extensions.size()) << "seed " << seed;
     for (std::size_t i = 0; i < fast.extensions.size(); ++i) {
@@ -254,26 +253,6 @@ TEST(FootprintTracker, TimeExtendEquivalenceOnRandomPrograms) {
     extended += static_cast<int>(fast.footprint_extensions.size());
   }
   EXPECT_GT(extended, 0) << "no random instance produced an extension; corpus gone vacuous";
-}
-
-/// The sweep's infeasible-cell skip leans on this probe: it must fire
-/// exactly when no on-chip layer can hold the cheapest placeable object.
-TEST(FootprintTracker, OutOfBoxProbe) {
-  auto full_ws = make_ws(testing::blocked_reuse_program());
-  i64 min_placeable = FootprintTracker(full_ws->context()).min_placeable_bytes();
-  ASSERT_GT(min_placeable, 0);
-
-  mem::PlatformConfig tiny;
-  tiny.l1_bytes = min_placeable - 1;
-  tiny.l2_bytes = 0;
-  auto tiny_ws = make_ws(testing::blocked_reuse_program(), tiny);
-  EXPECT_TRUE(FootprintTracker(tiny_ws->context()).provably_out_of_box());
-
-  mem::PlatformConfig fits_one;
-  fits_one.l1_bytes = min_placeable;
-  fits_one.l2_bytes = 0;
-  auto fits_ws = make_ws(testing::blocked_reuse_program(), fits_one);
-  EXPECT_FALSE(FootprintTracker(fits_ws->context()).provably_out_of_box());
 }
 
 }  // namespace

@@ -127,9 +127,7 @@ TEST(Step1, TargetMapping) {
   // Each target must produce a feasible assignment; energy-only and
   // time-only runs may differ from balanced.
   for (Target target : {Target::Energy, Target::Time, Target::Balanced}) {
-    Step1Options options;
-    options.target = target;
-    GreedyResult result = mhla_step1(ctx, options);
+    SearchResult result = searcher("greedy").search(ctx, SearchOptions{}.set_target(target));
     EXPECT_TRUE(fits(ctx, result.assignment));
   }
 }

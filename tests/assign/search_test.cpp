@@ -52,24 +52,24 @@ TEST(Search, TargetNamesRoundTrip) {
   EXPECT_THROW(parse_target("speed"), std::invalid_argument);
 }
 
-TEST(Search, MhlaStep1MatchesRegistryGreedyWithTargetWeights) {
-  // The old shim and the new API must share the one Target -> weights
-  // mapping: identical moves, evaluations, and result bits.
+TEST(Search, RegistryGreedyMatchesGreedyAssignWithTargetWeights) {
+  // The registry strategy and the engine entry point must share the one
+  // Target -> weights mapping: identical moves, evaluations, and result bits.
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   for (Target target : {Target::Energy, Target::Time, Target::Balanced}) {
-    Step1Options step1;
-    step1.target = target;
-    GreedyResult old_api = mhla_step1(ctx, step1);
+    GreedyOptions greedy;
+    std::tie(greedy.energy_weight, greedy.time_weight) = target_weights(target);
+    GreedyResult direct = greedy_assign(ctx, greedy);
 
     SearchOptions options;
     options.set_target(target);
-    SearchResult new_api = searcher("greedy").search(ctx, options);
+    SearchResult registry = searcher("greedy").search(ctx, options);
 
-    EXPECT_EQ(new_api.assignment, old_api.assignment);
-    EXPECT_EQ(new_api.scalar, old_api.final_scalar);
-    EXPECT_EQ(new_api.evaluations, old_api.evaluations);
-    EXPECT_EQ(new_api.moves.size(), old_api.moves.size());
+    EXPECT_EQ(registry.assignment, direct.assignment);
+    EXPECT_EQ(registry.scalar, direct.final_scalar);
+    EXPECT_EQ(registry.evaluations, direct.evaluations);
+    EXPECT_EQ(registry.moves.size(), direct.moves.size());
   }
 }
 

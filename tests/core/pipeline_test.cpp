@@ -71,37 +71,36 @@ PipelineConfig custom_config() {
   config.te.order = te::ExtensionOrder::BySizeDescending;
   config.te.max_lookahead = 5;
   config.te.charge_cold_start = true;
-  config.te.use_footprint_tracker = false;
   config.num_threads = 3;
   return config;
 }
 
-TEST(Pipeline, GreedyStrategyMatchesRunMhlaBitIdenticallyOnAllNineApps) {
-  // Acceptance criterion of the API redesign: the facade must not move a
-  // single bit relative to the legacy run_mhla driver.
+TEST(Pipeline, GreedyStrategyMatchesGreedyReferenceOnAllNineApps) {
+  // The facade must not move a single bit relative to the flow built from
+  // its parts (greedy_assign + simulate_four_points).
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = make_workspace(info.build(), {}, {});
-    RunResult legacy = run_mhla(*ws);
+    testing::ReferenceRun reference = testing::reference_run(*ws);
 
     Pipeline pipeline(PipelineConfig{});
-    PipelineResult result = pipeline.run(*ws);
+    PipelineResult result = pipeline.run(ws->analysis());
 
-    expect_same_points(result.points, legacy.points, info.name);
-    EXPECT_EQ(result.search.assignment, legacy.step1.assignment) << info.name;
-    EXPECT_EQ(result.search.scalar, legacy.step1.final_scalar) << info.name;
-    EXPECT_EQ(result.search.evaluations, legacy.step1.evaluations) << info.name;
+    expect_same_points(result.points, reference.points, info.name);
+    EXPECT_EQ(result.search.assignment, reference.step1.assignment) << info.name;
+    EXPECT_EQ(result.search.scalar, reference.step1.final_scalar) << info.name;
+    EXPECT_EQ(result.search.evaluations, reference.step1.evaluations) << info.name;
   }
 }
 
-TEST(Pipeline, MatchesRunMhlaForEveryTarget) {
+TEST(Pipeline, MatchesGreedyReferenceForEveryTarget) {
   auto ws = make_workspace(apps::build_cavity_detection(), {}, {});
   for (assign::Target target :
        {assign::Target::Energy, assign::Target::Time, assign::Target::Balanced}) {
-    RunResult legacy = run_mhla(*ws, target);
+    testing::ReferenceRun reference = testing::reference_run(*ws, target);
     PipelineConfig config;
     config.target = target;
-    PipelineResult result = Pipeline(config).run(*ws);
-    expect_same_points(result.points, legacy.points, assign::to_string(target));
+    PipelineResult result = Pipeline(config).run(ws->analysis());
+    expect_same_points(result.points, reference.points, assign::to_string(target));
   }
 }
 
@@ -110,7 +109,7 @@ TEST(Pipeline, RunFromProgramMatchesRunFromWorkspace) {
   config.platform = testing::small_platform();
   Pipeline pipeline(config);
   auto ws = make_workspace(testing::blocked_reuse_program(), config.platform, config.dma);
-  PipelineResult from_ws = pipeline.run(*ws);
+  PipelineResult from_ws = pipeline.run(ws->analysis());
   PipelineResult from_program = pipeline.run(testing::blocked_reuse_program());
   expect_same_points(from_program.points, from_ws.points, "blocked");
 }
@@ -263,8 +262,9 @@ TEST(PipelineConfigJson, DumpWithRetiredTogglesStillLoadsAndRunsIdentically) {
   // The current dump no longer carries the retired keys.
   std::string dumped = to_json(parsed);
   for (const char* retired :
-       {"use_cost_engine", "use_branch_and_bound", "greedy_batched_scoring",
-        "use_footprint_bound", "bnb_tasks_per_thread", "bnb_seed_incumbent"}) {
+       {"use_cost_engine", "use_branch_and_bound", "use_footprint_tracker",
+        "greedy_batched_scoring", "use_footprint_bound", "bnb_tasks_per_thread",
+        "bnb_seed_incumbent"}) {
     EXPECT_EQ(dumped.find(retired), std::string::npos) << retired;
   }
   for (const char* strategy : {"greedy", "bnb"}) {
@@ -274,8 +274,8 @@ TEST(PipelineConfigJson, DumpWithRetiredTogglesStillLoadsAndRunsIdentically) {
     PipelineConfig current;
     current.strategy = strategy;
     auto ws = make_workspace(testing::blocked_reuse_program(), current.platform, current.dma);
-    PipelineResult from_old = Pipeline(old_document).run(*ws);
-    PipelineResult from_current = Pipeline(current).run(*ws);
+    PipelineResult from_old = Pipeline(old_document).run(ws->analysis());
+    PipelineResult from_current = Pipeline(current).run(ws->analysis());
     expect_same_points(from_old.points, from_current.points, strategy);
     EXPECT_EQ(from_old.search.assignment, from_current.search.assignment);
     EXPECT_EQ(from_old.search.scalar, from_current.search.scalar);
@@ -291,11 +291,12 @@ TEST(PipelineConfigJson, RetiredToggleValuesAreIgnored) {
       R"({"search": {"use_cost_engine": false, "use_branch_and_bound": false,
                      "use_footprint_tracker": false, "greedy_batched_scoring": false,
                      "use_footprint_bound": false, "bnb_tasks_per_thread": 1,
-                     "bnb_seed_incumbent": false}})");
+                     "bnb_seed_incumbent": false},
+          "te": {"use_footprint_tracker": false}})");
   EXPECT_EQ(all_off, PipelineConfig{});
   auto ws = make_workspace(testing::blocked_reuse_program(), {}, {});
-  PipelineResult off = Pipeline(parsed).run(*ws);
-  PipelineResult defaults = Pipeline(PipelineConfig{}).run(*ws);
+  PipelineResult off = Pipeline(parsed).run(ws->analysis());
+  PipelineResult defaults = Pipeline(PipelineConfig{}).run(ws->analysis());
   expect_same_points(off.points, defaults.points, "use_cost_engine=false");
   EXPECT_EQ(off.search.assignment, defaults.search.assignment);
   EXPECT_EQ(off.search.evaluations, defaults.search.evaluations);
@@ -372,8 +373,8 @@ TEST(Pipeline, CustomTargetHonorsExplicitWeights) {
   energy.target = assign::Target::Energy;
   PipelineConfig custom = pipeline_config_from_json(
       R"({"target": "custom", "search": {"energy_weight": 1.0, "time_weight": 0.0}})");
-  expect_same_points(Pipeline(custom).run(*ws).points, Pipeline(energy).run(*ws).points,
-                     "custom-vs-energy");
+  expect_same_points(Pipeline(custom).run(ws->analysis()).points,
+                     Pipeline(energy).run(ws->analysis()).points, "custom-vs-energy");
   // And a custom weighting that differs from balanced must be able to
   // change the outcome's objective trade-off direction.
   EXPECT_EQ(assign::parse_target("custom"), assign::Target::Custom);

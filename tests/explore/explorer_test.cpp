@@ -16,6 +16,8 @@
 #include "analysis/sites.h"
 #include "apps/registry.h"
 #include "core/json_report.h"
+#include "core/pipeline.h"
+#include "core/run_budget.h"
 #include "explore/corpus.h"
 #include "explore/sweep.h"
 #include "gen/random_program.h"
@@ -210,6 +212,57 @@ TEST(Explorer, BudgetCapsPipelineEvaluations) {
   EXPECT_EQ(result.evaluations, 4u);
   EXPECT_TRUE(result.budget_exhausted);
   EXPECT_EQ(result.samples.size(), 4u);
+}
+
+TEST(Explorer, TruncatedLastWaveReportsBudgetExhausted) {
+  // Seeding the whole lattice (stride 1) makes the seed wave the only wave;
+  // a probe allowance far below one bnb solve truncates every cell in it.
+  // The wave loop then runs out of cells rather than out of budget, and the
+  // result must still say the exploration was cut short.
+  ExplorerConfig config = default_explorer();
+  config.pipeline.strategy = "bnb";
+  config.pipeline.search.budget.max_probes = 2000;
+  config.seed_stride = 1;
+  ResultCache cache;
+  ExploreResult result = Explorer(config).run(apps::build_app("qsdpcm"), cache);
+  EXPECT_EQ(result.evaluations, 27u);
+  EXPECT_EQ(result.rounds, 1u);
+  EXPECT_TRUE(cache.entries().empty()) << "truncated cells must not be cached";
+  EXPECT_TRUE(result.budget_exhausted);
+}
+
+TEST(Explorer, BudgetRunningOutInsideTimeExtensionKeepsTheCellUncached) {
+  // One cell, time extension on.  A probe allowance of exactly the search's
+  // own probes lets the search finish, then expires at the first probe of
+  // the TE pass: the cell's mhla_te point is truncated and must not reach
+  // the cache, although its search completed.
+  const ir::Program program = apps::build_app("qsdpcm");
+  ExplorerConfig config;
+  ASSERT_TRUE(config.pipeline.dma.present);
+  config.l1_axis = {config.pipeline.platform.l1_bytes};
+  config.l2_axis = {config.pipeline.platform.l2_bytes};
+
+  const core::ProgramAnalysis analysis(program);
+  core::RunBudget search_only;  // unlimited: only counts
+  core::PipelineConfig cell = config.pipeline;
+  cell.search.shared_budget = &search_only;
+  core::evaluate_cell(analysis, cell, core::PointRequest::canonical(false));
+  core::RunBudget with_te;
+  cell.search.shared_budget = &with_te;
+  core::evaluate_cell(analysis, cell, core::PointRequest::canonical(true));
+  ASSERT_GT(search_only.probes(), 0);
+  ASSERT_GT(with_te.probes(), search_only.probes()) << "the TE pass must probe";
+
+  ResultCache unbudgeted;
+  Explorer(config).run(program, unbudgeted);
+  EXPECT_EQ(unbudgeted.entries().size(), 1u);
+
+  config.pipeline.search.budget.max_probes = search_only.probes();
+  ResultCache cache;
+  ExploreResult result = Explorer(config).run(program, cache);
+  EXPECT_EQ(result.evaluations, 1u);
+  EXPECT_TRUE(cache.entries().empty()) << "a TE-truncated cell must not be cached";
+  EXPECT_TRUE(result.budget_exhausted);
 }
 
 TEST(Explorer, AnytimeFrontierIsValidUnderAnyBudget) {

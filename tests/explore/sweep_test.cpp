@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
 #include <stdexcept>
 
+#include "apps/registry.h"
 #include "helpers.h"
+#include "obs/metrics.h"
 
 namespace mhla::xplore {
 namespace {
@@ -123,46 +128,49 @@ TEST(Sweep, DuplicateSizesAreDeduplicated) {
   EXPECT_EQ(samples[2].point.l2_bytes, 8192);
 }
 
-TEST(Sweep, SkippedInfeasibleCellsAreBitIdenticalToFullRuns) {
-  // Cells whose layers cannot hold even the smallest placeable object are
-  // sampled without a search; the shortcut must not change anything — same
-  // points, same assignments, same frontier.
-  SweepConfig skipped;
-  skipped.l1_sizes = {1, 4, 16, 1024};  // 1..16 B: below any array or copy box
-  skipped.l2_sizes = {0, 8, 8192};
-  skipped.skip_infeasible = true;
-  SweepConfig full = skipped;
-  full.skip_infeasible = false;
+TEST(Sweep, TinyCellsStayOutOfBox) {
+  // Cells whose layers cannot hold even the smallest placeable object (the
+  // smallest array or copy box) leave every strategy at the out-of-box
+  // assignment.
+  const ir::Program program = testing::blocked_reuse_program();
+  const analysis::ReuseAnalysis reuse =
+      analysis::ReuseAnalysis::run(program, analysis::collect_sites(program));
+  i64 min_placeable = std::numeric_limits<i64>::max();
+  for (const ir::ArrayDecl& array : program.arrays()) {
+    min_placeable = std::min(min_placeable, array.bytes());
+  }
+  for (const analysis::CopyCandidate& cc : reuse.candidates()) {
+    min_placeable = std::min(min_placeable, cc.bytes);
+  }
+  ASSERT_GT(min_placeable, 1);
 
+  SweepConfig config;
+  config.l1_sizes = {1, 4, 16, 1024};
+  config.l2_sizes = {0, 8, 8192};  // 0: no L2
   for (const char* strategy : {"greedy", "anneal"}) {
-    skipped.pipeline.strategy = strategy;
-    full.pipeline.strategy = strategy;
-    auto fast = sweep_layer_sizes(testing::blocked_reuse_program(), skipped);
-    auto slow = sweep_layer_sizes(testing::blocked_reuse_program(), full);
-    ASSERT_EQ(fast.size(), slow.size()) << strategy;
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_EQ(fast[i].point.l1_bytes, slow[i].point.l1_bytes) << strategy;
-      EXPECT_EQ(fast[i].point.l2_bytes, slow[i].point.l2_bytes) << strategy;
-      EXPECT_EQ(fast[i].point.cycles, slow[i].point.cycles) << strategy;
-      EXPECT_EQ(fast[i].point.energy_nj, slow[i].point.energy_nj) << strategy;
-      EXPECT_EQ(fast[i].assignment, slow[i].assignment) << strategy;
-      EXPECT_EQ(fast[i].te_applied, slow[i].te_applied) << strategy;
+    config.pipeline.strategy = strategy;
+    auto samples = sweep_layer_sizes(program, config);
+    ASSERT_EQ(samples.size(), 12u) << strategy;
+    int tiny_cells = 0;
+    for (const SweepSample& sample : samples) {
+      const bool tiny =
+          sample.point.l1_bytes < min_placeable && sample.point.l2_bytes < min_placeable;
+      if (!tiny) continue;
+      ++tiny_cells;
+      mem::PlatformConfig platform = config.pipeline.platform;
+      platform.l1_bytes = sample.point.l1_bytes;
+      platform.l2_bytes = sample.point.l2_bytes;
+      auto ws = core::make_workspace(testing::blocked_reuse_program(), platform);
+      EXPECT_EQ(sample.assignment, assign::out_of_box(ws->context()))
+          << strategy << " L1 " << sample.point.l1_bytes << " L2 " << sample.point.l2_bytes;
     }
-    auto fast_front = frontier(fast);
-    auto slow_front = frontier(slow);
-    ASSERT_EQ(fast_front.size(), slow_front.size()) << strategy;
-    for (std::size_t i = 0; i < fast_front.size(); ++i) {
-      EXPECT_EQ(fast_front[i].cycles, slow_front[i].cycles) << strategy;
-      EXPECT_EQ(fast_front[i].energy_nj, slow_front[i].energy_nj) << strategy;
-    }
+    EXPECT_GT(tiny_cells, 0) << strategy;
   }
 }
 
-TEST(Sweep, SingleInfeasibleCellAtTheDedupEdgeIsBitIdentical) {
-  // Regression for the dedup + skip interaction: a grid whose duplicate
-  // sizes collapse to exactly one cell where the smallest placeable object
-  // fits no layer.  The skip path must sample that one cell out-of-box and
-  // leave every other cell untouched, bit for bit.
+TEST(Sweep, SingleTinyCellAtTheDedupEdgeStaysOutOfBox) {
+  // A grid whose duplicate sizes collapse to one cell where the smallest
+  // placeable object fits no layer, next to one where it does.
   using ir::av;
   ir::ProgramBuilder pb("one_cell");
   pb.array("tab", {16}, 4).input();        // 64 B: the smallest placeable object
@@ -178,31 +186,52 @@ TEST(Sweep, SingleInfeasibleCellAtTheDedupEdgeIsBitIdentical) {
   pb.end_loop();
   ir::Program program = pb.finish();
 
-  SweepConfig skipped;
-  skipped.l1_sizes = {32, 256, 32};  // dedups to {32, 256}; 32 B holds nothing
-  skipped.l2_sizes = {0};
-  SweepConfig full = skipped;
-  full.skip_infeasible = false;
-
+  SweepConfig config;
+  config.l1_sizes = {32, 256, 32};  // dedups to {32, 256}; 32 B holds nothing
+  config.l2_sizes = {0};
   for (const char* strategy : {"greedy", "bnb-par"}) {
-    skipped.pipeline.strategy = strategy;
-    full.pipeline.strategy = strategy;
-    auto fast = sweep_layer_sizes(program, skipped);
-    auto slow = sweep_layer_sizes(program, full);
-    ASSERT_EQ(fast.size(), 2u) << strategy;
-    ASSERT_EQ(slow.size(), 2u) << strategy;
-    // The 32 B cell can only ever be out-of-box; the 256 B cell must still
-    // run the real search (the skip may not leak to feasible neighbors).
-    EXPECT_TRUE(fast[0].assignment.copies.empty()) << strategy;
-    EXPECT_FALSE(fast[1].assignment.copies.empty()) << strategy;
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_EQ(fast[i].point.l1_bytes, slow[i].point.l1_bytes) << strategy;
-      EXPECT_EQ(fast[i].point.l2_bytes, slow[i].point.l2_bytes) << strategy;
-      EXPECT_EQ(fast[i].point.cycles, slow[i].point.cycles) << strategy;
-      EXPECT_EQ(fast[i].point.energy_nj, slow[i].point.energy_nj) << strategy;
-      EXPECT_EQ(fast[i].assignment, slow[i].assignment) << strategy;
-    }
+    config.pipeline.strategy = strategy;
+    auto samples = sweep_layer_sizes(program, config);
+    ASSERT_EQ(samples.size(), 2u) << strategy;
+    EXPECT_TRUE(samples[0].assignment.copies.empty()) << strategy;
+    EXPECT_FALSE(samples[1].assignment.copies.empty()) << strategy;
   }
+}
+
+TEST(Sweep, ProbeAllowanceCoversTheWholeSweep) {
+  // A bounded budget is one sweep-wide token: 27 bnb cells on qsdpcm under
+  // a probe allowance far below one solve charge about one allowance in
+  // total (a cell past the expiry charges only the few probes that find it
+  // expired), not one allowance per cell.
+  constexpr long kAllowance = 2000;
+  SweepConfig config = default_sweep();
+  config.pipeline.strategy = "bnb";
+  config.pipeline.num_threads = 1;
+  config.pipeline.search.budget.max_probes = kAllowance;
+  obs::Counter& probes = obs::Registry::instance().counter("search.budget_probes");
+  const std::uint64_t before = probes.value();
+  auto samples = sweep_layer_sizes(apps::build_app("qsdpcm"), config);
+  const std::uint64_t charged = probes.value() - before;
+  ASSERT_EQ(samples.size(), 27u);
+  EXPECT_GT(charged, static_cast<std::uint64_t>(kAllowance));
+  EXPECT_LT(charged, static_cast<std::uint64_t>(2 * kAllowance))
+      << "the allowance restarted per cell";
+}
+
+TEST(Sweep, DeadlineCoversTheWholeSweep) {
+  // The same token under a 0.2 s deadline: the sweep ends near the
+  // deadline, not near 27 deadlines (5.4 s).
+  SweepConfig config = default_sweep();
+  config.pipeline.strategy = "bnb";
+  config.pipeline.num_threads = 1;
+  config.pipeline.search.budget.deadline_seconds = 0.2;
+  const ir::Program program = apps::build_app("qsdpcm");
+  const auto start = std::chrono::steady_clock::now();
+  auto samples = sweep_layer_sizes(program, config);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_EQ(samples.size(), 27u);
+  EXPECT_LT(seconds, 0.2 * 27 / 2) << "the deadline restarted per cell";
 }
 
 TEST(Sweep, FrontierIsSubsetOfSamples) {

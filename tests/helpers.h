@@ -3,6 +3,7 @@
 // Shared fixtures and builders for the MHLA test suite.
 
 #include <memory>
+#include <tuple>
 
 #include "apps/registry.h"
 #include "core/driver.h"
@@ -76,6 +77,26 @@ inline std::unique_ptr<core::Workspace> make_ws(ir::Program program,
                                                 mem::PlatformConfig platform = small_platform(),
                                                 mem::DmaEngine dma = {}) {
   return core::make_workspace(std::move(program), platform, dma);
+}
+
+/// The paper's two-step flow built from its parts, independently of
+/// `core::evaluate_cell`: the greedy search with `target`'s weights, then
+/// the four reference simulations of the workspace's platform.
+struct ReferenceRun {
+  assign::GreedyResult step1;
+  sim::FourPoint points;
+};
+
+inline ReferenceRun reference_run(const core::Workspace& ws,
+                                  assign::Target target = assign::Target::Balanced,
+                                  const te::TeOptions& te_options = {}) {
+  assign::AssignContext ctx = ws.context();
+  assign::GreedyOptions greedy;
+  std::tie(greedy.energy_weight, greedy.time_weight) = assign::target_weights(target);
+  ReferenceRun run;
+  run.step1 = assign::greedy_assign(ctx, greedy);
+  run.points = sim::simulate_four_points(ctx, run.step1.assignment, te_options);
+  return run;
 }
 
 /// Binary-wide heap-allocation counter (tests/helpers_alloc.cpp replaces the

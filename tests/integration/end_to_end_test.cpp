@@ -47,9 +47,9 @@ TEST(EndToEnd, TargetsProduceDifferentTradeoffs) {
   auto ws = make_workspace(apps::build_cavity_detection(), {}, {});
   PipelineConfig config;
   config.target = assign::Target::Energy;
-  PipelineResult energy_run = Pipeline(config).run(*ws);
+  PipelineResult energy_run = Pipeline(config).run(ws->analysis());
   config.target = assign::Target::Time;
-  PipelineResult time_run = Pipeline(config).run(*ws);
+  PipelineResult time_run = Pipeline(config).run(ws->analysis());
   EXPECT_LE(energy_run.points.mhla.energy_nj, time_run.points.mhla.energy_nj + 1e-6);
   EXPECT_LE(time_run.points.mhla.total_cycles(),
             energy_run.points.mhla.total_cycles() + 1e-6);
@@ -96,14 +96,14 @@ TEST(EndToEnd, Figure2ClaimOnNineApps) {
 }
 
 TEST(EndToEnd, ReproductionBandsStayPut) {
-  // Stays on the legacy run_mhla shim on purpose: independent coverage of
-  // the reference path the Pipeline equivalence tests compare against.
+  // Runs the flow built from its parts on purpose: independent coverage of
+  // the reference the Pipeline equivalence tests compare against.
   // Generous envelopes around the measured Figure 2/3 values recorded in
   // EXPERIMENTS.md.  If a model change pushes any app outside these bands,
   // the reproduction story changed and EXPERIMENTS.md must be re-examined.
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = make_workspace(info.build(), {}, {});
-    RunResult run = run_mhla(*ws);
+    testing::ReferenceRun run = testing::reference_run(*ws);
     const sim::FourPoint& fp = run.points;
     double time_pct =
         100.0 * fp.mhla.total_cycles() / fp.out_of_box.total_cycles();
@@ -118,7 +118,7 @@ TEST(EndToEnd, ReproductionBandsStayPut) {
   }
   // TE must remain visibly useful on at least one stencil app.
   auto ws = make_workspace(apps::build_cavity_detection(), {}, {});
-  RunResult run = run_mhla(*ws);
+  testing::ReferenceRun run = testing::reference_run(*ws);
   double gain_pp = 100.0 *
                    (run.points.mhla.total_cycles() - run.points.mhla_te.total_cycles()) /
                    run.points.out_of_box.total_cycles();

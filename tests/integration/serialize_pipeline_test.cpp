@@ -24,8 +24,8 @@ TEST_P(SerializedPipeline, IdenticalOptimizationResults) {
   EXPECT_EQ(ws1->sites().size(), ws2->sites().size());
   EXPECT_EQ(ws1->reuse().candidates().size(), ws2->reuse().candidates().size());
 
-  core::RunResult run1 = core::run_mhla(*ws1);
-  core::RunResult run2 = core::run_mhla(*ws2);
+  testing::ReferenceRun run1 = testing::reference_run(*ws1);
+  testing::ReferenceRun run2 = testing::reference_run(*ws2);
   EXPECT_DOUBLE_EQ(run1.points.mhla.total_cycles(), run2.points.mhla.total_cycles());
   EXPECT_DOUBLE_EQ(run1.points.mhla.energy_nj, run2.points.mhla.energy_nj);
   EXPECT_DOUBLE_EQ(run1.points.mhla_te.total_cycles(), run2.points.mhla_te.total_cycles());
@@ -81,8 +81,8 @@ TEST(TransformedPipeline, TilingNeverHurtsOptimizedCost) {
   platform.l2_bytes = 0;
   auto ws_flat = core::make_workspace(std::move(flat), platform, {});
   auto ws_tiled = core::make_workspace(std::move(tiled), platform, {});
-  core::RunResult flat_run = core::run_mhla(*ws_flat);
-  core::RunResult tiled_run = core::run_mhla(*ws_tiled);
+  testing::ReferenceRun flat_run = testing::reference_run(*ws_flat);
+  testing::ReferenceRun tiled_run = testing::reference_run(*ws_tiled);
   EXPECT_LE(tiled_run.points.mhla_te.total_cycles(),
             flat_run.points.mhla_te.total_cycles() + 1e-9);
 }

@@ -148,8 +148,8 @@ TEST(Fusion, EnablesCrossNestReuseThroughOneCopy) {
   platform.l2_bytes = 0;
   auto ws_flat = core::make_workspace(std::move(flat), platform, {});
   auto ws_fused = core::make_workspace(std::move(fused), platform, {});
-  core::RunResult run_flat = core::run_mhla(*ws_flat);
-  core::RunResult run_fused = core::run_mhla(*ws_fused);
+  testing::ReferenceRun run_flat = testing::reference_run(*ws_flat);
+  testing::ReferenceRun run_fused = testing::reference_run(*ws_fused);
   EXPECT_LE(run_fused.points.mhla.energy_nj, run_flat.points.mhla.energy_nj);
 }
 

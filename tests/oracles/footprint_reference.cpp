@@ -1,9 +1,11 @@
-#include "analysis/footprint.h"
+#include "oracles/oracles.h"
 
 #include <algorithm>
 #include <cstdlib>
 
-namespace mhla::analysis {
+namespace mhla::oracles {
+
+using ir::i64;
 
 Box Box::merge(const Box& a, const Box& b) {
   Box out;
@@ -77,4 +79,4 @@ i64 delta_elems(const ir::ArrayDecl& array, const ir::ArrayAccess& access, const
   return std::max<i64>(delta, 0);
 }
 
-}  // namespace mhla::analysis
+}  // namespace mhla::oracles

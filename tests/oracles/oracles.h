@@ -9,7 +9,10 @@
 // tracker, no pruning — so they share no incremental machinery with the
 // production search they check.  The front-end references are the
 // previous implementations of the program-text parser and of the
-// copy-candidate generation, kept verbatim.
+// copy-candidate generation, kept verbatim.  The bounding-box footprint
+// model states the reuse analysis' box and delta-transfer arithmetic from
+// first principles, and the reference time extension recomputes every
+// footprint from scratch per freedom unit instead of using the tracker.
 
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "assign/exhaustive.h"
 #include "assign/greedy.h"
 #include "ir/program.h"
+#include "te/extension.h"
 
 namespace mhla::oracles {
 
@@ -56,5 +60,48 @@ ir::AffineExpr parse_affine_reference(const std::string& text);
 /// for field and in the same order, as `analysis::ReuseAnalysis::run`.
 std::vector<analysis::CopyCandidate> reuse_reference(
     const ir::Program& program, const std::vector<analysis::AccessSite>& sites);
+
+/// A rectangular (bounding-box) footprint: one element-interval width per
+/// array dimension.  MHLA's copy candidates are such boxes.
+struct Box {
+  std::vector<ir::i64> widths;  ///< elements per dimension, outermost first
+
+  ir::i64 elems() const {
+    ir::i64 n = 1;
+    for (ir::i64 w : widths) n *= w;
+    return n;
+  }
+
+  /// Component-wise max (union bounding box of aligned boxes).
+  static Box merge(const Box& a, const Box& b);
+};
+
+/// Bounding box of `access` to `array` when the loops `path[fixed..]` vary
+/// over their full ranges and the outer `fixed` loops are held constant.
+///
+/// Per array dimension:  width = 1 + sum over varying iterators of
+/// |coef| * (trip-1) * step, clamped to the array extent.  Iterators of the
+/// fixed outer loops contribute a (symbolic) offset only, not width.
+Box footprint(const ir::ArrayDecl& array, const ir::ArrayAccess& access, const ir::LoopPath& path,
+              std::size_t fixed);
+
+/// Elements of `footprint(...)` that are *new* relative to the previous
+/// iteration of loop `fixed-1` (the loop immediately outside the box):
+/// consecutive outer iterations shift the box by |coef*step| along each
+/// dimension; the non-overlapping slab must be re-transferred each time.
+/// For `fixed == 0` this equals the full box (there is no outer loop).
+/// For a single-site copy candidate these are its `elems` and
+/// `elems_per_transfer`.
+ir::i64 delta_elems(const ir::ArrayDecl& array, const ir::ArrayAccess& access,
+                    const ir::LoopPath& path, std::size_t fixed);
+
+/// `te::time_extend` with every freedom unit checked by cloning the
+/// extension vector, replacing the copy's entry and re-running `fits` over
+/// all footprints.  Same decisions, extension vector and budget probes as
+/// the tracker-backed production pass.
+te::TeResult time_extend_reference(const assign::AssignContext& ctx,
+                                   const assign::Assignment& assignment,
+                                   const std::vector<te::BlockTransfer>& bts,
+                                   const te::TeOptions& options = {});
 
 }  // namespace mhla::oracles

@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/footprint.h"
 #include "analysis/reuse.h"
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla::sim {
 namespace {
@@ -181,8 +181,8 @@ TEST(TraceProperty, DenseBoxesAreTight) {
   ir::Program program = pb.finish();
   auto sites = analysis::collect_sites(program);
   for (std::size_t fixed = 0; fixed <= 2; ++fixed) {
-    analysis::Box box =
-        analysis::footprint(*sites[0].array, *sites[0].access, sites[0].path, fixed);
+    oracles::Box box =
+        oracles::footprint(*sites[0].array, *sites[0].access, sites[0].path, fixed);
     ir::i64 exact = exact_footprint_elems(program, sites[0], fixed);
     EXPECT_EQ(box.elems(), exact) << "fixed=" << fixed;
   }
