@@ -1,25 +1,22 @@
-// Concurrent result-cache throughput: how the sharded, lock-striped
-// ConcurrentResultCache behind mhla_serve scales with reader/writer threads,
-// against the single-mutex alternative it replaces (one ResultCache behind
-// one lock), and what bounded LRU eviction costs on the insert path.
+// Concurrent result-cache throughput: how the lock-striped ResultCache
+// behind mhla_serve scales with reader/writer threads, and what bounded LRU
+// eviction costs on the insert path.
 //
 // The interesting comparisons:
 //   * Lookup/Insert at ->Threads(1..8): per-op time should stay roughly flat
-//     as threads grow (shards contend only on key collisions), where the
-//     GlobalLock variants serialize and degrade.
+//     as threads grow (stripes contend only on key collisions).
 //   * BoundedInsert vs Insert: the eviction bookkeeping (LRU splice + floor
 //     CAS) on every insert past the cap.
-//   * Snapshot: the periodic persister's pause — what save_if_dirty pays
+//   * Entries: the periodic persister's pause — what save_if_dirty pays
 //     before any I/O happens.
 
 #include "bench_common.h"
 
 #include <chrono>
-#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "explore/concurrent_cache.h"
+#include "explore/cache.h"
 
 namespace {
 
@@ -46,8 +43,8 @@ std::uint64_t nth_key(int thread, std::uint64_t i) {
   return (i * 2654435761u + static_cast<std::uint64_t>(thread) * 7919u) % kWorkingSet;
 }
 
-void ConcurrentCacheLookup(benchmark::State& state) {
-  static xplore::ConcurrentResultCache cache;
+void ResultCacheLookup(benchmark::State& state) {
+  static xplore::ResultCache cache;
   if (state.thread_index() == 0) {
     for (std::uint64_t key = 0; key < kWorkingSet; ++key) cache.insert(key, entry_for(key));
   }
@@ -58,10 +55,10 @@ void ConcurrentCacheLookup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(ConcurrentCacheLookup)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
+BENCHMARK(ResultCacheLookup)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
-void ConcurrentCacheInsert(benchmark::State& state) {
-  static xplore::ConcurrentResultCache cache;
+void ResultCacheInsert(benchmark::State& state) {
+  static xplore::ResultCache cache;
   std::uint64_t i = 0;
   for (auto _ : state) {
     std::uint64_t key = nth_key(state.thread_index(), i++);
@@ -69,12 +66,12 @@ void ConcurrentCacheInsert(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(ConcurrentCacheInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
+BENCHMARK(ResultCacheInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
 /// Bounded cache under eviction pressure: cap at half the working set, so
 /// roughly every other insert pays the LRU eviction + floor CAS.
-void ConcurrentCacheBoundedInsert(benchmark::State& state) {
-  static xplore::ConcurrentResultCache cache(
+void ResultCacheBoundedInsert(benchmark::State& state) {
+  static xplore::ResultCache cache(
       {/*max_entries=*/kWorkingSet / 2, /*evict_floor=*/kWorkingSet / 4});
   std::uint64_t i = 0;
   for (auto _ : state) {
@@ -83,61 +80,21 @@ void ConcurrentCacheBoundedInsert(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(ConcurrentCacheBoundedInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
+BENCHMARK(ResultCacheBoundedInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
-/// The baseline the striping replaces: the single-threaded ResultCache
-/// behind one global mutex.
-struct GlobalLockCache {
-  std::mutex mu;
+/// The persister's synchronous cost: copying every stripe into the sorted
+/// view that the crash-safe saver serializes.
+void ResultCacheEntries(benchmark::State& state) {
   xplore::ResultCache cache;
-};
-
-void GlobalLockLookup(benchmark::State& state) {
-  static GlobalLockCache locked;
-  if (state.thread_index() == 0) {
-    std::lock_guard<std::mutex> lock(locked.mu);
-    for (std::uint64_t key = 0; key < kWorkingSet; ++key) {
-      locked.cache.insert(key, entry_for(key));
-    }
-  }
-  std::uint64_t i = 0;
-  CacheEntry out;
-  for (auto _ : state) {
-    std::lock_guard<std::mutex> lock(locked.mu);
-    benchmark::DoNotOptimize(locked.cache.lookup(nth_key(state.thread_index(), i++), out));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(GlobalLockLookup)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
-
-void GlobalLockInsert(benchmark::State& state) {
-  static GlobalLockCache locked;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    std::uint64_t key = nth_key(state.thread_index(), i++);
-    std::lock_guard<std::mutex> lock(locked.mu);
-    benchmark::DoNotOptimize(locked.cache.insert(key, entry_for(key)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(GlobalLockInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
-
-/// The persister's synchronous cost: snapshotting every shard into the
-/// plain ResultCache that the crash-safe saver serializes.
-void ConcurrentCacheSnapshot(benchmark::State& state) {
-  xplore::ConcurrentResultCache cache;
   for (std::uint64_t key = 0; key < kWorkingSet; ++key) cache.insert(key, entry_for(key));
-  for (auto _ : state) {
-    xplore::ResultCache snapshot = cache.snapshot();
-    benchmark::DoNotOptimize(snapshot.size());
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(cache.entries().size());
   state.SetItemsProcessed(state.iterations() * kWorkingSet);
 }
-BENCHMARK(ConcurrentCacheSnapshot);
+BENCHMARK(ResultCacheEntries);
 
 /// One-shot scaling table: mixed lookup/insert operations per second over
-/// thread counts, sharded vs global-lock — the headline number that
-/// justifies the striping in mhla_serve's hot path.
+/// thread counts — the headline number for the striping in mhla_serve's
+/// hot path (flat per-thread rate = no contention).
 template <typename Op>
 double ops_per_second(int threads, Op op) {
   constexpr std::uint64_t kOpsPerThread = 200'000;
@@ -156,39 +113,23 @@ double ops_per_second(int threads, Op op) {
 void print_scaling_report() {
   bench::print_header(
       "Concurrent result-cache scaling (mhla_serve hot path)",
-      "lock-striped shards keep cache throughput flat as server workers grow");
+      "lock-striped cache keeps per-thread throughput flat as server workers grow");
 
-  xplore::ConcurrentResultCache sharded;
-  GlobalLockCache global;
-  for (std::uint64_t key = 0; key < kWorkingSet; ++key) {
-    sharded.insert(key, entry_for(key));
-    global.cache.insert(key, entry_for(key));
-  }
+  xplore::ResultCache cache;
+  for (std::uint64_t key = 0; key < kWorkingSet; ++key) cache.insert(key, entry_for(key));
 
-  std::printf("%8s  %18s  %18s  %8s\n", "threads", "sharded ops/s", "global-lock ops/s",
-              "speedup");
+  std::printf("%8s  %14s  %18s\n", "threads", "ops/s", "ops/s per thread");
   for (int threads : {1, 2, 4, 8}) {
-    double shard_rate = ops_per_second(threads, [&](int t, std::uint64_t i) {
+    double rate = ops_per_second(threads, [&](int t, std::uint64_t i) {
       CacheEntry out;
       std::uint64_t key = nth_key(t, i);
       if (i % 8 == 0) {
-        sharded.insert(key, entry_for(key));
+        cache.insert(key, entry_for(key));
       } else {
-        benchmark::DoNotOptimize(sharded.lookup(key, out));
+        benchmark::DoNotOptimize(cache.lookup(key, out));
       }
     });
-    double global_rate = ops_per_second(threads, [&](int t, std::uint64_t i) {
-      CacheEntry out;
-      std::uint64_t key = nth_key(t, i);
-      std::lock_guard<std::mutex> lock(global.mu);
-      if (i % 8 == 0) {
-        global.cache.insert(key, entry_for(key));
-      } else {
-        benchmark::DoNotOptimize(global.cache.lookup(key, out));
-      }
-    });
-    std::printf("%8d  %18.0f  %18.0f  %7.2fx\n", threads, shard_rate, global_rate,
-                shard_rate / global_rate);
+    std::printf("%8d  %14.0f  %18.0f\n", threads, rate, rate / threads);
   }
   std::printf("\n");
 }

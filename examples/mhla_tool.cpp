@@ -248,22 +248,16 @@ int run_cache_merge(const Options& options) {
   // An existing output participates in the merge, so repeated invocations
   // accumulate instead of overwriting earlier shards.
   xplore::ResultCache merged;
-  if (std::filesystem::exists(out_path)) {
-    xplore::ResultCache::LoadReport report;
-    merged = xplore::ResultCache::load(out_path, report);
-    if (!report.clean) std::cerr << "warning: " << report.message << "\n";
-  }
   std::size_t adopted = 0;
-  for (std::size_t i = 1; i < options.cache_merge.size(); ++i) {
-    const std::string& shard_path = options.cache_merge[i];
-    if (!std::filesystem::exists(shard_path)) {
-      throw std::invalid_argument("cache shard '" + shard_path + "' does not exist");
+  for (std::size_t i = 0; i < options.cache_merge.size(); ++i) {
+    const std::string& path = options.cache_merge[i];
+    if (i > 0 && !std::filesystem::exists(path)) {
+      throw std::invalid_argument("cache shard '" + path + "' does not exist");
     }
-    xplore::ResultCache::LoadReport report;
-    xplore::ResultCache shard = xplore::ResultCache::load(shard_path, report);
+    // Loading merges into `merged`; a later shard wins on a key collision.
+    xplore::ResultCache::LoadReport report = merged.load(path);
     if (!report.clean) std::cerr << "warning: " << report.message << "\n";
-    adopted += shard.size();
-    merged.merge_from(shard);
+    if (i > 0) adopted += report.entries;
   }
   merged.save(out_path);  // crash-safe: temp + fsync + atomic rename
   std::cout << "merged " << (options.cache_merge.size() - 1) << " shards (" << adopted

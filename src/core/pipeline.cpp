@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <mutex>
-#include <optional>
 
 #include "core/parallel_for.h"
 #include "core/run_budget.h"
@@ -53,12 +52,16 @@ double total_of(const std::vector<StageTiming>& timings) {
 
 }  // namespace
 
-RunBudget* share_budget(assign::SearchOptions& options, std::optional<RunBudget>& token) {
+ScopedBudget::ScopedBudget(assign::SearchOptions& options) {
   if (!options.shared_budget && options.budget.bounded()) {
-    token.emplace(options.budget);
-    options.shared_budget = &*token;
+    owned_.emplace(options.budget);
+    options.shared_budget = &*owned_;
   }
-  return options.shared_budget;
+  token_ = options.shared_budget;
+}
+
+ScopedBudget::~ScopedBudget() {
+  if (owned_) search_counters().budget_probes.add(owned_->probes());
 }
 
 PipelineResult evaluate_cell(const ProgramAnalysis& analysis, const PipelineConfig& cell,
@@ -75,8 +78,7 @@ PipelineResult evaluate_cell(const ProgramAnalysis& analysis, const PipelineConf
   // One budget token covers the whole cell: the search and the TE pass
   // share it, so a deadline never restarts per stage.  A batch, sweep or
   // exploration driver that already holds a token passes it through.
-  std::optional<RunBudget> local_budget;
-  share_budget(options, local_budget);
+  const ScopedBudget budget(options);
 
   // Stage spans carry the StageTiming rows: the span's monotonic clock is
   // the measurement, and the trace ring sees the same interval.
@@ -134,7 +136,6 @@ PipelineResult evaluate_cell(const ProgramAnalysis& analysis, const PipelineConf
   counters.capacity_prunes.add(result.search.capacity_prunes);
   counters.evaluations.add(result.search.evaluations);
   counters.states_per_run.record(result.search.states_explored);
-  if (local_budget) counters.budget_probes.add(local_budget->probes());
   return result;
 }
 
@@ -173,8 +174,7 @@ std::vector<PipelineResult> Pipeline::run_batch(std::vector<ir::Program> program
   // A bounded budget spec is promoted to one batch-wide token: every
   // program still runs (degraded, not skipped — results stay positionally
   // aligned), but all of them race the same deadline/probe allowance.
-  std::optional<RunBudget> batch_budget;
-  share_budget(worker.config_.search, batch_budget);
+  const ScopedBudget batch_budget(worker.config_.search);
 
   std::vector<PipelineResult> results(programs.size());
   parallel_for(programs.size(), config_.num_threads, [&](std::size_t i) {

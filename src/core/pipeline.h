@@ -75,12 +75,29 @@ inline const sim::SimResult& canonical_point(const sim::FourPoint& points, bool 
   return with_te ? points.mhla_te : points.mhla;
 }
 
-/// Promote a bounded `options.budget` to one token, constructed in `token`
-/// and shared through `options.shared_budget`, so every search and time
-/// extension that runs with `options` draws on it.  A token the caller
-/// already shares wins; an unbounded spec shares nothing.  Returns
-/// `options.shared_budget`.
-RunBudget* share_budget(assign::SearchOptions& options, std::optional<RunBudget>& token);
+/// The run-budget token of one run (a cell, a batch, a sweep or an
+/// exploration).  The constructor promotes a bounded `options.budget` to a
+/// token owned by this scope and shares it through `options.shared_budget`,
+/// so every search and time extension that runs with `options` draws on it.
+/// A token the caller already shares wins; an unbounded spec shares
+/// nothing.  The destructor adds the probes charged to an owned token to
+/// the `search.budget_probes` counter, once, so each probe is counted by
+/// exactly the scope that created its token.
+class ScopedBudget {
+ public:
+  explicit ScopedBudget(assign::SearchOptions& options);
+  ~ScopedBudget();
+
+  ScopedBudget(const ScopedBudget&) = delete;
+  ScopedBudget& operator=(const ScopedBudget&) = delete;
+
+  /// The shared token (owned or passed through); null when unbounded.
+  RunBudget* get() const { return token_; }
+
+ private:
+  std::optional<RunBudget> owned_;
+  RunBudget* token_ = nullptr;
+};
 
 /// Evaluate one design cell: the only code that runs a search or a
 /// simulation for Pipeline, Explorer, sweep and serve.  Once per call it

@@ -1,12 +1,13 @@
 #include "explore/cache.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iomanip>
-#include <iostream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -41,13 +42,13 @@ std::uint64_t parse_hex_key(const std::string& text) {
 }
 
 /// One cache entry from its JSON object — shared by the well-formed document
-/// path (from_json) and the line-by-line salvage scanner, so both accept
+/// path and the line-by-line salvage scanner, so both accept
 /// exactly the same entries.  Throws on any missing/mistyped field.  The
 /// "status" field is optional for backward compatibility: documents written
 /// before it existed only ever contained completed results, so they load as
 /// Feasible.
-std::pair<std::uint64_t, ResultCache::Entry> entry_from_json(const core::Json& item) {
-  ResultCache::Entry entry;
+std::pair<std::uint64_t, CacheEntry> entry_from_json(const core::Json& item) {
+  CacheEntry entry;
   entry.l1_bytes = item.at("l1_bytes").integer();
   entry.l2_bytes = item.at("l2_bytes").integer();
   entry.strategy = item.at("strategy").string();
@@ -60,11 +61,9 @@ std::pair<std::uint64_t, ResultCache::Entry> entry_from_json(const core::Json& i
   return {parse_hex_key(item.at("key").string()), std::move(entry)};
 }
 
-/// Flush a just-written file to stable storage.  Without this, the atomic
-/// rename below can land before the data blocks do, and a crash between the
-/// two leaves a complete-looking name pointing at garbage.  Returns false
-/// when the platform reports the flush failed (no-op success on Windows).
-bool sync_file(const std::string& path) {
+/// fsync `path`, a file or a directory; false when the platform reports
+/// the flush failed (no-op success on Windows).
+bool sync_path(const std::string& path) {
 #ifndef _WIN32
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;
@@ -77,68 +76,43 @@ bool sync_file(const std::string& path) {
 #endif
 }
 
-/// Persist the directory entry a rename just created.  Best effort: some
-/// filesystems reject fsync on directories, and the file data itself is
-/// already durable at this point.
-void sync_parent_dir(const std::string& path) {
-#ifndef _WIN32
-  std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (parent.empty()) parent = ".";
-  int fd = ::open(parent.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)path;
-#endif
+/// Finalizer mix (splitmix64 tail): cache keys are already FNV hashes, but
+/// the mix keeps any externally supplied key set from piling onto one stripe.
+std::uint64_t mix(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
 }
 
-}  // namespace
+using EntryMap = std::map<std::uint64_t, CacheEntry>;
 
-std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash) {
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
+/// Record one parsed entry the way the cache would: cacheable entries only,
+/// last write wins.
+void keep(EntryMap& loaded, std::pair<std::uint64_t, CacheEntry> item) {
+  if (cacheable(item.second)) loaded[item.first] = std::move(item.second);
 }
 
-ResultCache ResultCache::load(const std::string& path) {
-  LoadReport report;
-  ResultCache cache = load(path, report);
-  if (!report.clean) std::cerr << "warning: " << report.message << "\n";
-  return cache;
+/// The entries of a well-formed document; throws on anything else.
+EntryMap parse_document(const std::string& text) {
+  core::Json document = core::Json::parse(text);
+  std::int64_t version = document.at("version").integer();
+  if (version != 1) {
+    throw std::invalid_argument("unsupported cache version " + std::to_string(version));
+  }
+  EntryMap loaded;
+  for (const core::Json& item : document.at("entries").array()) keep(loaded, entry_from_json(item));
+  return loaded;
 }
 
-ResultCache ResultCache::load(const std::string& path, LoadReport& report) {
-  report = LoadReport{};
-  std::ifstream in(path);
-  if (!in) {
-    // Only a file that does not exist means a cold cache.  An existing but
-    // unreadable one must not: proceeding cold and saving later would
-    // truncate away every previously accumulated entry.
-    if (!std::filesystem::exists(path)) return ResultCache{};
-    throw std::runtime_error("result cache '" + path + "' exists but cannot be read");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  try {
-    ResultCache cache = from_json(text);
-    report.entries = cache.size();
-    return cache;
-  } catch (const std::exception&) {
-    // Fall through to the salvage path: a crash mid-write elsewhere (or a
-    // stray editor) must not cost the warm entries that are still intact.
-  }
-
-  // Salvage pass.  save() emits one entry object per line, so every line
-  // that parses as a complete {"key": ...} object is a trustworthy entry
-  // regardless of what happened to the document around it (truncation,
-  // interleaved writes, a mangled header).  Anything else is skipped.
-  ResultCache cache;
+/// The salvage pass.  save() emits one entry object per line, so every line
+/// that parses as a complete {"key": ...} object is a trustworthy entry
+/// regardless of what happened to the document around it (truncation,
+/// interleaved writes, a mangled header).  Anything else is skipped.
+EntryMap salvage_lines(const std::string& text) {
+  EntryMap loaded;
   std::istringstream lines(text);
   std::string line;
   while (std::getline(lines, line)) {
@@ -147,47 +121,22 @@ ResultCache ResultCache::load(const std::string& path, LoadReport& report) {
     if (open == std::string::npos || close == std::string::npos || close <= open) continue;
     if (line.find("\"key\"") == std::string::npos) continue;
     try {
-      core::Json item = core::Json::parse(line.substr(open, close - open + 1));
-      auto [key, entry] = entry_from_json(item);
-      cache.insert(key, std::move(entry));
+      keep(loaded, entry_from_json(core::Json::parse(line.substr(open, close - open + 1))));
     } catch (const std::exception&) {
       continue;  // damaged entry — skip it, keep scanning
     }
   }
-
-  // Preserve the damaged original next to the cache before the next save()
-  // overwrites it; the salvage may be incomplete and the wreckage is the
-  // only evidence of what was lost.
-  std::string quarantine = path + ".quarantine";
-  {
-    std::ofstream out(quarantine, std::ios::trunc);
-    if (out) out << text;
-    if (!out) quarantine.clear();
-  }
-
-  report.clean = false;
-  report.entries = report.salvaged = cache.size();
-  report.quarantine_path = quarantine;
-  std::ostringstream message;
-  message << "result cache '" << path << "' is malformed; salvaged " << report.salvaged
-          << " entr" << (report.salvaged == 1 ? "y" : "ies");
-  if (!quarantine.empty()) {
-    message << "; damaged original preserved at '" << quarantine << "'";
-  } else {
-    message << "; could not preserve the damaged original";
-  }
-  report.message = message.str();
-  return cache;
+  return loaded;
 }
 
-void ResultCache::save(const std::string& path) const {
-  // Write-to-temp + rename: an interrupted or failed write must not
-  // truncate away the previously accumulated entries (the same hazard
-  // load() refuses to run into on an unreadable file).  The temp name mixes
-  // a random draw with the thread id and the clock — std::random_device
-  // alone may be deterministic on some platforms — so concurrent shard
-  // saves to one path cannot interleave inside a single temp file; last
-  // rename wins atomically.
+/// Write `text` to `path` via temp file + fsync + atomic rename: an
+/// interrupted or failed write must not truncate away the previously
+/// accumulated entries (the same hazard load() refuses to run into on an
+/// unreadable file).  The temp name mixes a random draw with the thread id
+/// and the clock — std::random_device alone may be deterministic on some
+/// platforms — so concurrent saves to one path cannot interleave inside a
+/// single temp file; last rename wins atomically.
+void write_atomically(const std::string& path, const std::string& text) {
   std::uint64_t nonce = std::random_device{}();
   nonce = nonce * 0x9e3779b97f4a7c15ULL ^
           static_cast<std::uint64_t>(std::hash<std::thread::id>{}(std::this_thread::get_id()));
@@ -211,14 +160,17 @@ void ResultCache::save(const std::string& path) const {
   {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out) throw std::runtime_error("cannot write result cache '" + tmp + "'");
-    out << to_json() << "\n";
+    out << text << "\n";
     out.flush();
     if (FaultInjector::fire(FaultInjector::Site::IoWrite)) {
       fail("injected I/O fault writing result cache temp '" + tmp + "'");
     }
     if (!out) fail("failed writing result cache '" + tmp + "'");
   }
-  if (!sync_file(tmp)) fail("cannot flush result cache temp '" + tmp + "' to disk");
+  // Flush the data before the rename: otherwise the rename can land first,
+  // and a crash between the two leaves a complete-looking name pointing at
+  // garbage.
+  if (!sync_path(tmp)) fail("cannot flush result cache temp '" + tmp + "' to disk");
 
   if (FaultInjector::fire(FaultInjector::Site::IoWrite)) {
     fail("injected I/O fault renaming result cache temp '" + tmp + "' into place");
@@ -228,22 +180,200 @@ void ResultCache::save(const std::string& path) const {
   if (rename_error) {
     fail("cannot move result cache into place at '" + path + "': " + rename_error.message());
   }
-  sync_parent_dir(path);
+  // Persist the new directory entry too.  Best effort: some filesystems
+  // reject fsync on directories, and the data itself is already durable.
+  std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  sync_path(parent.empty() ? "." : parent.string());
 }
 
-ResultCache ResultCache::from_json(const std::string& text) {
-  core::Json document = core::Json::parse(text);
-  std::int64_t version = document.at("version").integer();
-  if (version != 1) {
-    throw std::invalid_argument("unsupported cache version " + std::to_string(version));
+}  // namespace
+
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash) {
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
   }
-  ResultCache cache;
-  for (const core::Json& item : document.at("entries").array()) {
-    auto [key, entry] = entry_from_json(item);
-    cache.insert(key, std::move(entry));
-  }
-  return cache;
+  return hash;
 }
+
+bool cacheable(const CacheEntry& entry) {
+  bool completed = entry.status == assign::SearchStatus::Optimal ||
+                   entry.status == assign::SearchStatus::Feasible;
+  auto possible = [](double cost) { return std::isfinite(cost) && cost >= 0.0; };
+  return completed && possible(entry.cycles) && possible(entry.energy_nj);
+}
+
+ResultCache::ResultCache(CacheBounds bounds) : bounds_(bounds) {
+  if (bounds_.max_entries > 0) {
+    // The floor wins over a smaller cap (a cache that must keep N entries
+    // cannot be bounded below N), and every stripe gets at least one slot.
+    std::size_t cap = std::max(bounds_.max_entries, bounds_.evict_floor);
+    per_stripe_cap_ = std::max<std::size_t>(1, (cap + kStripes - 1) / kStripes);
+  }
+}
+
+std::size_t ResultCache::stripe_of(std::uint64_t key) { return mix(key) & (kStripes - 1); }
+
+bool ResultCache::claim_eviction() {
+  std::size_t current = size_.load(std::memory_order_relaxed);
+  while (current > bounds_.evict_floor) {
+    if (size_.compare_exchange_weak(current, current - 1, std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool ResultCache::lookup(std::uint64_t key, CacheEntry& out) {
+  Stripe& stripe = stripes_[stripe_of(key)];
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  auto it = stripe.map.find(key);
+  if (it == stripe.map.end()) {
+    stripe.misses.add();
+    return false;
+  }
+  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
+  out = it->second.entry;
+  stripe.hits.add();
+  return true;
+}
+
+bool ResultCache::insert(std::uint64_t key, CacheEntry entry) {
+  // The cacheability guard lives here, in the cache itself: a truncated,
+  // infeasible or impossible result must never be stored, no matter which
+  // caller (or file) produced it.
+  if (!cacheable(entry)) {
+    rejected_.add();
+    return false;
+  }
+  Stripe& stripe = stripes_[stripe_of(key)];
+  {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    auto it = stripe.map.find(key);
+    if (it != stripe.map.end()) {
+      it->second.entry = std::move(entry);
+      stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
+    } else {
+      stripe.lru.push_front(key);
+      stripe.map.emplace(key, Node{std::move(entry), stripe.lru.begin()});
+      size_.fetch_add(1, std::memory_order_relaxed);
+      // Evict this stripe's cold tail past the per-stripe cap.  Each
+      // removal first claims its decrement against the global floor, so
+      // concurrent evictions on other stripes can never team up to breach
+      // it.  The just-inserted entry sits at the LRU front and the cap is
+      // >= 1, so it is never its own victim.
+      while (per_stripe_cap_ != 0 && stripe.map.size() > per_stripe_cap_) {
+        if (!claim_eviction()) break;
+        std::uint64_t victim = stripe.lru.back();
+        stripe.lru.pop_back();
+        stripe.map.erase(victim);
+        stripe.evictions.add();
+      }
+    }
+  }
+  insertions_.add();
+  version_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void ResultCache::merge_from(const ResultCache& other) {
+  if (&other == this) return;
+  for (auto& [key, entry] : other.entries()) insert(key, std::move(entry));
+}
+
+CacheStats ResultCache::stats() const {
+  // Every row is a lock-free read of the same cells a registered metrics
+  // source reads: the `cache_stats` verb and a registry snapshot cannot
+  // disagree about this cache.
+  CacheStats stats;
+  stats.shards = kStripes;
+  stats.entries = size();
+  stats.insertions = insertions_.value();
+  stats.rejected = rejected_.value();
+  for (const Stripe& stripe : stripes_) {
+    stats.hits += stripe.hits.value();
+    stats.misses += stripe.misses.value();
+    stats.evictions += stripe.evictions.value();
+  }
+  stats.saves = saves_.value();
+  return stats;
+}
+
+std::uint64_t ResultCache::register_metrics(obs::Registry& registry, std::string prefix) const {
+  return registry.add_source([this, prefix = std::move(prefix)](obs::MetricsSnapshot& out) {
+    CacheStats s = stats();
+    out.counters.emplace_back(prefix + ".hits", s.hits);
+    out.counters.emplace_back(prefix + ".misses", s.misses);
+    out.counters.emplace_back(prefix + ".insertions", s.insertions);
+    out.counters.emplace_back(prefix + ".rejected", s.rejected);
+    out.counters.emplace_back(prefix + ".evictions", s.evictions);
+    out.counters.emplace_back(prefix + ".saves", s.saves);
+    out.gauges.emplace_back(prefix + ".entries", static_cast<std::int64_t>(s.entries));
+  });
+}
+
+std::map<std::uint64_t, CacheEntry> ResultCache::entries() const {
+  EntryMap copy;
+  for (Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    for (const auto& [key, node] : stripe.map) copy.emplace(key, node.entry);
+  }
+  return copy;
+}
+
+std::size_t ResultCache::adopt(const EntryMap& loaded) {
+  for (const auto& [key, entry] : loaded) insert(key, entry);
+  return loaded.size();
+}
+
+ResultCache::LoadReport ResultCache::load(const std::string& path) {
+  LoadReport report;
+  std::ifstream in(path);
+  if (!in) {
+    // Only a file that does not exist means a cold cache.  An existing but
+    // unreadable one must not: proceeding cold and saving later would
+    // truncate away every previously accumulated entry.
+    if (!std::filesystem::exists(path)) return report;
+    throw std::runtime_error("result cache '" + path + "' exists but cannot be read");
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+
+  try {
+    report.entries = adopt(parse_document(text));
+    return report;
+  } catch (const std::exception&) {
+    // Fall through to the salvage path: a crash mid-write elsewhere (or a
+    // stray editor) must not cost the warm entries that are still intact.
+  }
+  report.entries = report.salvaged = adopt(salvage_lines(text));
+
+  // Preserve the damaged original next to the cache before the next save()
+  // overwrites it; the salvage may be incomplete and the wreckage is the
+  // only evidence of what was lost.
+  std::string quarantine = path + ".quarantine";
+  {
+    std::ofstream out(quarantine, std::ios::trunc);
+    if (out) out << text;
+    if (!out) quarantine.clear();
+  }
+
+  report.clean = false;
+  report.quarantine_path = quarantine;
+  std::ostringstream message;
+  message << "result cache '" << path << "' is malformed; salvaged " << report.salvaged
+          << " entr" << (report.salvaged == 1 ? "y" : "ies");
+  if (!quarantine.empty()) {
+    message << "; damaged original preserved at '" << quarantine << "'";
+  } else {
+    message << "; could not preserve the damaged original";
+  }
+  report.message = message.str();
+  return report;
+}
+
+void ResultCache::load_json(const std::string& text) { adopt(parse_document(text)); }
 
 std::string ResultCache::to_json(int indent) const {
   std::string p0(static_cast<std::size_t>(indent) * 2, ' ');
@@ -253,7 +383,7 @@ std::string ResultCache::to_json(int indent) const {
   out.imbue(std::locale::classic());
   out << p0 << "{\n" << p1 << "\"version\": 1,\n" << p1 << "\"entries\": [";
   bool first = true;
-  for (const auto& [key, entry] : entries_) {  // std::map: sorted, byte-stable
+  for (const auto& [key, entry] : entries()) {  // sorted: byte-stable
     out << (first ? "\n" : ",\n");
     first = false;
     out << p2 << "{\"key\": \"" << hex_key(key) << "\", \"l1_bytes\": " << entry.l1_bytes
@@ -268,36 +398,21 @@ std::string ResultCache::to_json(int indent) const {
   return out.str();
 }
 
-bool cacheable(const CacheEntry& entry) {
-  bool completed = entry.status == assign::SearchStatus::Optimal ||
-                   entry.status == assign::SearchStatus::Feasible;
-  auto possible = [](double cost) { return std::isfinite(cost) && cost >= 0.0; };
-  return completed && possible(entry.cycles) && possible(entry.energy_nj);
-}
+void ResultCache::save(const std::string& path) const { persist(path, false); }
 
-const ResultCache::Entry* ResultCache::find(std::uint64_t key) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
-}
+bool ResultCache::save_if_dirty(const std::string& path) const { return persist(path, true); }
 
-bool ResultCache::lookup(std::uint64_t key, CacheEntry& out) {
-  const Entry* entry = find(key);
-  if (!entry) return false;
-  out = *entry;
+bool ResultCache::persist(const std::string& path, bool only_if_dirty) const {
+  std::lock_guard<std::mutex> lock(save_mu_);
+  // Read the version before copying the entries out: entries that land in
+  // between are persisted now but re-persisted by the next dirty save —
+  // duplicated work at worst, never lost work.
+  std::uint64_t version = version_.load(std::memory_order_acquire);
+  if (only_if_dirty && version == saved_version_) return false;
+  write_atomically(path, to_json());
+  saved_version_ = version;
+  saves_.add();
   return true;
-}
-
-bool ResultCache::insert(std::uint64_t key, CacheEntry entry) {
-  // The cacheability guard lives here, in the cache layer itself: a
-  // truncated, infeasible or impossible result must never be stored, no
-  // matter which caller (or file) produced it.
-  if (!cacheable(entry)) return false;
-  entries_[key] = std::move(entry);
-  return true;
-}
-
-void ResultCache::merge_from(const ResultCache& other) {
-  for (const auto& [key, entry] : other.entries_) insert(key, entry);
 }
 
 }  // namespace mhla::xplore

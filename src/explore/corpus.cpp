@@ -1,5 +1,6 @@
 #include "explore/corpus.h"
 
+#include <iostream>
 #include <sstream>
 #include <utility>
 
@@ -13,13 +14,17 @@ CorpusResult explore_corpus(const CorpusConfig& config) {
   // One cache for the whole corpus: load once, thread it through every
   // run, write back once (and only if anything was evaluated).
   const std::string& cache_path = config.explorer.cache_path;
-  ResultCache cache = cache_path.empty() ? ResultCache{} : ResultCache::load(cache_path);
+  ResultCache cache;
+  if (!cache_path.empty()) {
+    ResultCache::LoadReport report = cache.load(cache_path);
+    if (!report.clean) std::cerr << "warning: " << report.message << "\n";
+  }
   CorpusResult result = explore_corpus(config, cache);
   if (!cache_path.empty() && result.evaluations > 0) cache.save(cache_path);
   return result;
 }
 
-CorpusResult explore_corpus(const CorpusConfig& config, ResultStore& cache) {
+CorpusResult explore_corpus(const CorpusConfig& config, ResultCache& cache) {
   Explorer explorer(config.explorer);  // validates once for the whole corpus
 
   std::vector<std::pair<std::string, ir::Program>> programs;

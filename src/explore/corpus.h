@@ -42,11 +42,11 @@ struct CorpusResult {
 /// corpus runs skip every previously evaluated cell.
 CorpusResult explore_corpus(const CorpusConfig& config);
 
-/// Same, against a caller-owned store (no file I/O; `explorer.cache_path`
+/// Same, against a caller-owned cache (no file I/O; `explorer.cache_path`
 /// is ignored).  This is the distributed form: N workers or N servers each
-/// drive a corpus against their own ConcurrentResultCache and converge by
-/// merging shards (`merge_from`, `mhla_tool --cache-merge`).
-CorpusResult explore_corpus(const CorpusConfig& config, ResultStore& cache);
+/// drive a corpus against their own cache and converge by merging their
+/// files (`merge_from`, `mhla_tool --cache-merge`).
+CorpusResult explore_corpus(const CorpusConfig& config, ResultCache& cache);
 
 /// Combined frontier report, one object per program.
 std::string to_json(const CorpusResult& result, int indent = 0);

@@ -1,6 +1,7 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
+#include <iostream>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -118,15 +119,18 @@ std::uint64_t design_cache_key(const std::string& program_text, core::PipelineCo
 }
 
 ExploreResult Explorer::run(const ir::Program& program) const {
-  ResultCache cache =
-      config_.cache_path.empty() ? ResultCache{} : ResultCache::load(config_.cache_path);
+  ResultCache cache;
+  if (!config_.cache_path.empty()) {
+    ResultCache::LoadReport report = cache.load(config_.cache_path);
+    if (!report.clean) std::cerr << "warning: " << report.message << "\n";
+  }
   ExploreResult result = run(program, cache);
   // Only evaluations add entries; a fully-warm replay leaves the file alone.
   if (!config_.cache_path.empty() && result.evaluations > 0) cache.save(config_.cache_path);
   return result;
 }
 
-ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) const {
+ExploreResult Explorer::run(const ir::Program& program, ResultCache& cache) const {
   const std::vector<i64>& l1_axis = config_.l1_axis;
   const std::vector<i64>& l2_axis = config_.l2_axis;
   // Without a transfer engine the TE axis cannot change any result (the
@@ -142,8 +146,8 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
   // them uncacheable), so the deadline only changes *how much* is explored
   // — a completed wave's samples are the same as without a budget.
   core::PipelineConfig base = config_.pipeline;
-  std::optional<core::RunBudget> local_budget;
-  core::RunBudget* run_budget = core::share_budget(base.search, local_budget);
+  const core::ScopedBudget budget(base.search);
+  core::RunBudget* run_budget = budget.get();
 
   const std::string program_text = ir::serialize(program);
   const CellKeyer keyer(program_text, config_.pipeline);
@@ -448,7 +452,6 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
   registry.counter("explore.cells_evaluated").add(result.evaluations);
   registry.counter("explore.cells_cache_served").add(result.cache_hits);
   registry.gauge("explore.frontier_size").set(static_cast<std::int64_t>(result.frontier.size()));
-  if (local_budget) registry.counter("search.budget_probes").add(local_budget->probes());
   return result;
 }
 

@@ -132,11 +132,11 @@ class Explorer {
   /// before the run, written back after it when anything was evaluated.
   ExploreResult run(const ir::Program& program) const;
 
-  /// Explore against a caller-owned store (no file I/O).  Batch drivers
+  /// Explore against a caller-owned cache (no file I/O).  Batch drivers
   /// load a ResultCache once, thread it through many runs, and save once;
-  /// the server threads its process-wide ConcurrentResultCache through
-  /// every job the same way.
-  ExploreResult run(const ir::Program& program, ResultStore& cache) const;
+  /// the server threads its process-wide cache through every job the same
+  /// way.
+  ExploreResult run(const ir::Program& program, ResultCache& cache) const;
 
  private:
   ExplorerConfig config_;

@@ -1,13 +1,10 @@
 #include "explore/sweep.h"
 
 #include <algorithm>
-#include <optional>
 #include <tuple>
 #include <utility>
 
 #include "core/parallel_for.h"
-#include "core/run_budget.h"
-#include "obs/metrics.h"
 
 namespace mhla::xplore {
 
@@ -39,8 +36,7 @@ std::vector<SweepSample> sweep_layer_sizes(const ir::Program& program, const Swe
   // A bounded budget becomes one sweep-wide token, like `run_batch`'s: the
   // deadline covers the whole grid instead of restarting per cell.
   core::PipelineConfig base = config.pipeline;
-  std::optional<core::RunBudget> sweep_budget;
-  core::share_budget(base.search, sweep_budget);
+  const core::ScopedBudget sweep_budget(base.search);
 
   // Flatten the grid in the canonical (L2 outer, L1 inner) order; each cell
   // writes only its own slot, so the result is identical for any thread
@@ -69,9 +65,6 @@ std::vector<SweepSample> sweep_layer_sizes(const ir::Program& program, const Swe
     sample.assignment = std::move(run.search.assignment);
     sample.te_applied = config.with_te && cell.dma.present;
   });
-  if (sweep_budget) {
-    obs::Registry::instance().counter("search.budget_probes").add(sweep_budget->probes());
-  }
   return samples;
 }
 

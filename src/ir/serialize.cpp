@@ -179,14 +179,12 @@ class Reader {
       pos_ = end + 1;
       ++line_no_;
       std::size_t begin = raw.find_first_not_of(" \t");
-      if (begin == std::string_view::npos) continue;
-      // When only " \t\r" follows `begin`, `last` is npos and the unsigned
-      // count keeps the rest of the line unless `begin` is 0: a lone "\r"
-      // is blank, "  \r" is a content line with no token.
       std::size_t last = raw.find_last_not_of(" \t\r");
+      if (last == std::string_view::npos) continue;  // only " \t\r"
       line_ = raw.substr(begin, last - begin + 1);
-      if (line_.empty() || line_[0] == '#') continue;
+      if (line_[0] == '#') continue;
       split();
+      if (tokens_.empty()) continue;  // only whitespace ("\v", "\f", ...)
       return true;
     }
     line_ = {};

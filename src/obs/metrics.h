@@ -110,7 +110,7 @@ std::string to_json(const MetricsSnapshot& snapshot, int indent = 0);
 /// Process-wide metrics registry.  Instruments are created on first use and
 /// never destroyed (stable references: cache the result of `counter()` at a
 /// call site and `add` forever).  Components that keep their own counters as
-/// the source of truth — the concurrent cache's per-shard counters, the job
+/// the source of truth — the result cache's per-stripe counters, the job
 /// queue's depth — register a *source*: a callback that appends rows to
 /// every snapshot, so `snapshot()` reports owned and external instruments
 /// through one door without double counting.

@@ -84,11 +84,11 @@ class Server::Session : public EventSink, public std::enable_shared_from_this<Se
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
-      cache_(config_.cache_bounds, config_.cache_shards),
+      cache_(config_.cache_bounds),
       listener_(config_.host, config_.port),
       queue_(config_.job_retention) {
   if (!config_.cache_path.empty()) {
-    xplore::ResultCache::LoadReport report = cache_.load_file(config_.cache_path);
+    xplore::ResultCache::LoadReport report = cache_.load(config_.cache_path);
     if (!report.clean) std::cerr << "mhla_serve: " << report.message << "\n";
   }
   start_ns_ = obs::Tracer::instance().now_ns();

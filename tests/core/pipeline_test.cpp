@@ -8,6 +8,7 @@
 #include "core/json_report.h"
 #include "helpers.h"
 #include "ir/serialize.h"
+#include "obs/metrics.h"
 
 namespace mhla::core {
 namespace {
@@ -194,6 +195,37 @@ TEST(Pipeline, RunBatchIsDeterministicForAnyThreadCount) {
       EXPECT_EQ(parallel[i].search.assignment, serial[i].search.assignment);
     }
   }
+}
+
+TEST(Pipeline, BoundedRunBatchAddsItsProbesToTheCounter) {
+  // A probe allowance no program reaches: the batch-wide token charges
+  // exactly what the same programs charge run one by one, and the batch
+  // adds that to search.budget_probes once.
+  auto programs = [] {
+    std::vector<ir::Program> list;
+    list.push_back(testing::tiny_stream_program());
+    list.push_back(testing::blocked_reuse_program());
+    list.push_back(testing::producer_consumer_program());
+    return list;
+  };
+  PipelineConfig config;
+  config.platform = testing::small_platform();
+  config.num_threads = 2;
+  config.search.budget.max_probes = 1'000'000'000;
+  obs::Counter& probes = obs::Registry::instance().counter("search.budget_probes");
+
+  std::uint64_t before = probes.value();
+  for (ir::Program& program : programs()) Pipeline(config).run(std::move(program));
+  const std::uint64_t one_by_one = probes.value() - before;
+  ASSERT_GT(one_by_one, 0u);
+
+  before = probes.value();
+  std::vector<PipelineResult> batch = Pipeline(config).run_batch(programs());
+  ASSERT_EQ(batch.size(), 3u);
+  for (const PipelineResult& run : batch) {
+    EXPECT_NE(run.search.status, assign::SearchStatus::BudgetExhausted);
+  }
+  EXPECT_EQ(probes.value() - before, one_by_one);
 }
 
 TEST(PipelineConfigJson, DefaultConfigRoundTrips) {

@@ -43,97 +43,6 @@ ExplorerConfig small_config() {
   return config;
 }
 
-TEST(ResultCache, JsonRoundTripsEntries) {
-  ResultCache cache;
-  ResultCache::Entry entry;
-  entry.l1_bytes = 1024;
-  entry.l2_bytes = 65536;
-  entry.strategy = "greedy";
-  entry.with_te = true;
-  entry.cycles = 1.0 / 3.0;  // 17-digit round trip must be exact
-  entry.energy_nj = 123456.789012345;
-  cache.insert(fnv1a64("cell-a"), entry);
-  entry.strategy = "anneal";
-  entry.with_te = false;
-  cache.insert(fnv1a64("cell-b"), entry);
-
-  ResultCache reloaded = ResultCache::from_json(cache.to_json());
-  ASSERT_EQ(reloaded.size(), 2u);
-  EXPECT_EQ(reloaded.entries(), cache.entries());
-  const ResultCache::Entry* found = reloaded.find(fnv1a64("cell-a"));
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->cycles, 1.0 / 3.0);
-  EXPECT_EQ(found->strategy, "greedy");
-}
-
-TEST(ResultCache, SaveAndLoadPersist) {
-  std::string path = temp_path("mhla_cache_roundtrip.json");
-  ResultCache cache;
-  cache.insert(7, {256, 0, "greedy", true, 10.0, 20.0});
-  cache.save(path);
-  ResultCache loaded = ResultCache::load(path);
-  EXPECT_EQ(loaded.entries(), cache.entries());
-  std::remove(path.c_str());
-}
-
-TEST(ResultCache, MissingFileIsACleanColdCache) {
-  EXPECT_EQ(ResultCache::load(temp_path("mhla_cache_never_written.json")).size(), 0u);
-}
-
-TEST(ResultCache, MalformedFileSalvagesIntactEntriesAndQuarantines) {
-  // A document truncated mid-write: the header and the last entry line are
-  // damaged, one entry line is complete.  Load must recover the intact
-  // entry instead of throwing the warm cache away, and must preserve the
-  // wreckage for inspection.
-  std::string path = temp_path("mhla_cache_corrupt.json");
-  ResultCache full;
-  full.insert(7, {256, 0, "greedy", true, 10.0, 20.0});
-  std::string intact_line;
-  {
-    std::istringstream doc(full.to_json());
-    std::string line;
-    while (std::getline(doc, line)) {
-      if (line.find("\"key\"") != std::string::npos) intact_line = line;
-    }
-  }
-  ASSERT_FALSE(intact_line.empty());
-  std::ofstream(path) << "{\"version\": 1, \"entries\": [oops\n"
-                      << intact_line << "\n"
-                      << "    {\"key\": \"00000000000000";  // truncated entry
-
-  ResultCache::LoadReport report;
-  ResultCache salvaged = ResultCache::load(path, report);
-  EXPECT_FALSE(report.clean);
-  EXPECT_EQ(report.salvaged, 1u);
-  EXPECT_NE(report.message.find(path), std::string::npos) << report.message;
-  EXPECT_EQ(salvaged.entries(), full.entries());
-
-  // The damaged original is quarantined byte for byte next to the cache.
-  ASSERT_EQ(report.quarantine_path, path + ".quarantine");
-  std::ifstream quarantined(report.quarantine_path);
-  ASSERT_TRUE(quarantined.good());
-  std::ostringstream preserved;
-  preserved << quarantined.rdbuf();
-  EXPECT_NE(preserved.str().find(intact_line), std::string::npos);
-
-  std::remove(path.c_str());
-  std::remove(report.quarantine_path.c_str());
-}
-
-TEST(ResultCache, WellFormedLoadReportsClean) {
-  std::string path = temp_path("mhla_cache_clean.json");
-  ResultCache cache;
-  cache.insert(3, {128, 0, "bnb", false, 1.0, 2.0});
-  cache.save(path);
-  ResultCache::LoadReport report;
-  ResultCache loaded = ResultCache::load(path, report);
-  EXPECT_TRUE(report.clean);
-  EXPECT_EQ(report.entries, 1u);
-  EXPECT_EQ(report.salvaged, 0u);
-  EXPECT_EQ(loaded.entries(), cache.entries());
-  std::remove(path.c_str());
-}
-
 TEST(Explorer, ValidatesItsConfiguration) {
   ExplorerConfig config = small_config();
   config.l1_axis.clear();

@@ -203,14 +203,14 @@ TEST(FaultInjection, EveryStrategyDegradesOnInjectedExpiry) {
 
 TEST(FaultInjection, CacheSaveCrashNeverLosesPersistedEntries) {
   std::string path = temp_path("mhla_cache_crash.json");
-  xplore::ResultCache first;
-  first.insert(1, {256, 0, "greedy", false, 100.0, 200.0});
-  first.insert(2, {512, 8192, "bnb", true, 300.0, 400.0});
-  first.save(path);
+  xplore::ResultCache cache;
+  cache.insert(1, {256, 0, "greedy", false, 100.0, 200.0});
+  cache.insert(2, {512, 8192, "bnb", true, 300.0, 400.0});
+  cache.save(path);
   const std::string persisted = slurp(path);
+  const auto persisted_entries = cache.entries();
 
-  xplore::ResultCache second = first;
-  second.insert(3, {1024, 0, "anneal", true, 500.0, 600.0});
+  cache.insert(3, {1024, 0, "anneal", true, 500.0, 600.0});
 
   // Kill the save at each of its three I/O steps (open, write+flush,
   // rename).  Every crash must leave the previously persisted document
@@ -219,15 +219,15 @@ TEST(FaultInjection, CacheSaveCrashNeverLosesPersistedEntries) {
     SCOPED_TRACE("I/O fault at step " + std::to_string(nth));
     core::ScopedFault fault(FaultInjector::Site::IoWrite, nth);
     try {
-      second.save(path);
+      cache.save(path);
       FAIL() << "expected the injected I/O fault to surface";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos) << e.what();
     }
     EXPECT_EQ(slurp(path), persisted);
-    xplore::ResultCache::LoadReport report;
-    EXPECT_EQ(xplore::ResultCache::load(path, report).entries(), first.entries());
-    EXPECT_TRUE(report.clean);
+    xplore::ResultCache loaded;
+    EXPECT_TRUE(loaded.load(path).clean);
+    EXPECT_EQ(loaded.entries(), persisted_entries);
     // No temp wreckage left behind.
     for (const auto& entry : std::filesystem::directory_iterator(::testing::TempDir())) {
       EXPECT_EQ(entry.path().string().find("mhla_cache_crash.json.tmp"), std::string::npos)
@@ -236,8 +236,10 @@ TEST(FaultInjection, CacheSaveCrashNeverLosesPersistedEntries) {
   }
 
   // With the injector quiet the same save goes through.
-  second.save(path);
-  EXPECT_EQ(xplore::ResultCache::load(path).entries(), second.entries());
+  cache.save(path);
+  xplore::ResultCache loaded;
+  loaded.load(path);
+  EXPECT_EQ(loaded.entries(), cache.entries());
   std::remove(path.c_str());
 }
 

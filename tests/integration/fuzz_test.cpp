@@ -6,7 +6,7 @@
 #include "helpers.h"
 #include "ir/serialize.h"
 #include "ir/validate.h"
-#include "sim/trace.h"
+#include "oracles/oracles.h"
 #include "gen/random_program.h"
 
 namespace mhla {
@@ -28,7 +28,7 @@ TEST_P(Fuzz, SerializeRoundTripIsIdentity) {
 }
 
 TEST_P(Fuzz, TraceMatchesAnalyticCounts) {
-  sim::ExactCounts exact = sim::enumerate_program(program_, 2'000'000);
+  oracles::ExactCounts exact = oracles::enumerate_program(program_, 2'000'000);
   if (exact.truncated) GTEST_SKIP() << "program too large for enumeration";
   EXPECT_TRUE(exact.in_bounds);
   auto sites = analysis::collect_sites(program_);
@@ -49,7 +49,7 @@ TEST_P(Fuzz, FootprintsAreSound) {
       const analysis::AccessSite& site = sites[static_cast<std::size_t>(site_id)];
       if (site.iterations() > 200'000) continue;  // keep the test fast
       ir::i64 exact =
-          sim::exact_footprint_elems(program_, site, static_cast<std::size_t>(cc.level));
+          oracles::exact_footprint_elems(program_, site, static_cast<std::size_t>(cc.level));
       EXPECT_GE(cc.elems, exact) << "cc " << cc.id << " site " << site_id << "\n"
                                  << ir::serialize(program_);
     }

@@ -13,11 +13,15 @@
 // model states the reuse analysis' box and delta-transfer arithmetic from
 // first principles, and the reference time extension recomputes every
 // footprint from scratch per freedom unit instead of using the tracker.
+// The enumerative simulator walks every loop iteration concretely to
+// certify the analytic access counts and footprints.
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/reuse.h"
+#include "analysis/sites.h"
 #include "assign/exhaustive.h"
 #include "assign/greedy.h"
 #include "ir/program.h"
@@ -103,5 +107,34 @@ te::TeResult time_extend_reference(const assign::AssignContext& ctx,
                                    const assign::Assignment& assignment,
                                    const std::vector<te::BlockTransfer>& bts,
                                    const te::TeOptions& options = {});
+
+/// Exact, enumerative execution of a (small) program: every loop iteration
+/// is walked concretely and every subscript evaluated.  The brute-force
+/// oracle the property tests validate the *analytic* models (access counts,
+/// bounding-box footprints, delta transfers) against.
+struct ExactCounts {
+  ir::i64 statement_instances = 0;
+  ir::i64 dynamic_accesses = 0;
+  std::map<std::string, ir::i64> accesses_per_array;  ///< dynamic accesses
+  std::map<std::string, ir::i64> distinct_elements;   ///< exact footprint, elems
+  bool in_bounds = true;   ///< every evaluated subscript within the extents
+  bool truncated = false;  ///< stopped at the instance budget
+};
+
+/// Enumerate the whole program.  Stops (with `truncated = true`) once
+/// `max_instances` statement instances have been executed, so a mistaken
+/// call on a huge program degrades gracefully instead of hanging.
+ExactCounts enumerate_program(const ir::Program& program, ir::i64 max_instances = 5'000'000);
+
+/// Exact number of distinct elements the member sites of a copy-candidate
+/// partition touch during ONE execution of the varying loops, maximized
+/// over every concrete combination of the fixed outer iterators.  The
+/// analytic bounding box must be a superset (>=) of this for every
+/// candidate — the soundness property of analysis::footprint.
+///
+/// `site` supplies the loop context; `fixed` is the number of outer loops
+/// held constant (the candidate's level).
+ir::i64 exact_footprint_elems(const ir::Program& program, const analysis::AccessSite& site,
+                              std::size_t fixed);
 
 }  // namespace mhla::oracles

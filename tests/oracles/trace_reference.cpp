@@ -1,9 +1,11 @@
-#include "sim/trace.h"
-
 #include <algorithm>
 #include <unordered_set>
 
-namespace mhla::sim {
+#include "oracles/oracles.h"
+
+namespace mhla::oracles {
+
+using ir::i64;
 
 namespace {
 
@@ -128,4 +130,4 @@ i64 exact_footprint_elems(const ir::Program& /*program*/, const analysis::Access
   return worst;
 }
 
-}  // namespace mhla::sim
+}  // namespace mhla::oracles

@@ -2,8 +2,6 @@
 // analytic models: exact access counts match the site analysis, and the
 // bounding-box footprints are sound (superset of the exact touch set).
 
-#include "sim/trace.h"
-
 #include <gtest/gtest.h>
 
 #include "analysis/reuse.h"
@@ -24,7 +22,7 @@ TEST(Trace, CountsTinyProgramExactly) {
   pb.stmt("s", 1).read("a", {av("i"), av("j")}, 2);
   pb.end_loop();
   pb.end_loop();
-  ExactCounts counts = enumerate_program(pb.finish());
+  oracles::ExactCounts counts = oracles::enumerate_program(pb.finish());
   EXPECT_EQ(counts.statement_instances, 16);
   EXPECT_EQ(counts.dynamic_accesses, 32);
   EXPECT_EQ(counts.accesses_per_array["a"], 32);
@@ -39,7 +37,7 @@ TEST(Trace, DetectsOutOfBounds) {
   pb.begin_loop("i", 0, 8);
   pb.stmt("s", 1).read("a", {av("i")});
   pb.end_loop();
-  ExactCounts counts = enumerate_program(pb.finish());
+  oracles::ExactCounts counts = oracles::enumerate_program(pb.finish());
   EXPECT_FALSE(counts.in_bounds);
 }
 
@@ -49,7 +47,7 @@ TEST(Trace, OverlappingWindowsDeduplicate) {
   pb.begin_loop("i", 0, 10);
   pb.stmt("s", 1).read("a", {av("i")}).read("a", {av("i") + ac(2)});
   pb.end_loop();
-  ExactCounts counts = enumerate_program(pb.finish());
+  oracles::ExactCounts counts = oracles::enumerate_program(pb.finish());
   EXPECT_EQ(counts.accesses_per_array["a"], 20);
   EXPECT_EQ(counts.distinct_elements["a"], 12);  // 0..11, overlaps deduped
 }
@@ -62,7 +60,7 @@ TEST(Trace, TruncationGuard) {
   pb.stmt("s", 1).read("a", {ac(0)});
   pb.end_loop();
   pb.end_loop();
-  ExactCounts counts = enumerate_program(pb.finish(), 1000);
+  oracles::ExactCounts counts = oracles::enumerate_program(pb.finish(), 1000);
   EXPECT_TRUE(counts.truncated);
   EXPECT_LE(counts.statement_instances, 1001);
 }
@@ -73,7 +71,7 @@ TEST(Trace, StridedLoopsEvaluateExactly) {
   pb.begin_loop("i", 4, 20, 4);  // 4, 8, 12, 16
   pb.stmt("s", 1).read("a", {av("i")});
   pb.end_loop();
-  ExactCounts counts = enumerate_program(pb.finish());
+  oracles::ExactCounts counts = oracles::enumerate_program(pb.finish());
   EXPECT_EQ(counts.statement_instances, 4);
   EXPECT_EQ(counts.distinct_elements["a"], 4);
 }
@@ -137,7 +135,7 @@ std::vector<ir::Program> property_corpus() {
 
 TEST(TraceProperty, AnalyticAccessCountsAreExact) {
   for (const ir::Program& program : property_corpus()) {
-    ExactCounts exact = enumerate_program(program);
+    oracles::ExactCounts exact = oracles::enumerate_program(program);
     auto sites = analysis::collect_sites(program);
     std::map<std::string, ir::i64> analytic;
     for (const analysis::AccessSite& site : sites) {
@@ -159,7 +157,7 @@ TEST(TraceProperty, FootprintBoxesAreSound) {
       for (int site_id : cc.site_ids) {
         const analysis::AccessSite& site = sites[static_cast<std::size_t>(site_id)];
         ir::i64 exact =
-            exact_footprint_elems(program, site, static_cast<std::size_t>(cc.level));
+            oracles::exact_footprint_elems(program, site, static_cast<std::size_t>(cc.level));
         EXPECT_GE(cc.elems, exact)
             << program.name() << " cc " << cc.id << " array " << cc.array << " level "
             << cc.level << " site " << site_id;
@@ -183,7 +181,7 @@ TEST(TraceProperty, DenseBoxesAreTight) {
   for (std::size_t fixed = 0; fixed <= 2; ++fixed) {
     oracles::Box box =
         oracles::footprint(*sites[0].array, *sites[0].access, sites[0].path, fixed);
-    ir::i64 exact = exact_footprint_elems(program, sites[0], fixed);
+    ir::i64 exact = oracles::exact_footprint_elems(program, sites[0], fixed);
     EXPECT_EQ(box.elems(), exact) << "fixed=" << fixed;
   }
 }
@@ -192,7 +190,7 @@ TEST(TraceProperty, ProgramFootprintMatchesWholeArrayTouch) {
   // Level-0 candidates of single-nest programs must cover exactly what the
   // program touches when the pattern is dense.
   ir::Program program = std::move(property_corpus()[0]);  // "blocked"
-  ExactCounts exact = enumerate_program(program);
+  oracles::ExactCounts exact = oracles::enumerate_program(program);
   auto sites = analysis::collect_sites(program);
   analysis::ReuseAnalysis reuse = analysis::ReuseAnalysis::run(program, sites);
   for (const analysis::CopyCandidate& cc : reuse.candidates()) {
