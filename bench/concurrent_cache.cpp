@@ -12,6 +12,7 @@
 
 #include "bench_common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -92,9 +93,9 @@ void ResultCacheEntries(benchmark::State& state) {
 }
 BENCHMARK(ResultCacheEntries);
 
-/// One-shot scaling table: mixed lookup/insert operations per second over
-/// thread counts — the headline number for the striping in mhla_serve's
-/// hot path (flat per-thread rate = no contention).
+/// Scaling table: mixed lookup/insert operations per second over thread
+/// counts — the headline number for the striping in mhla_serve's hot path
+/// (flat per-thread rate = no contention).  One run of a thread count.
 template <typename Op>
 double ops_per_second(int threads, Op op) {
   constexpr std::uint64_t kOpsPerThread = 200'000;
@@ -118,18 +119,29 @@ void print_scaling_report() {
   xplore::ResultCache cache;
   for (std::uint64_t key = 0; key < kWorkingSet; ++key) cache.insert(key, entry_for(key));
 
-  std::printf("%8s  %14s  %18s\n", "threads", "ops/s", "ops/s per thread");
+  // One run of a thread count swings by 2x on a shared machine, so each
+  // count is run kRuns times and reported as median and interquartile range.
+  constexpr int kRuns = 5;
+  std::printf("%8s  %14s  %14s  %18s\n", "threads", "median ops/s", "IQR ops/s",
+              "median per thread");
   for (int threads : {1, 2, 4, 8}) {
-    double rate = ops_per_second(threads, [&](int t, std::uint64_t i) {
-      CacheEntry out;
-      std::uint64_t key = nth_key(t, i);
-      if (i % 8 == 0) {
-        cache.insert(key, entry_for(key));
-      } else {
-        benchmark::DoNotOptimize(cache.lookup(key, out));
-      }
-    });
-    std::printf("%8d  %14.0f  %18.0f\n", threads, rate, rate / threads);
+    std::vector<double> rates;
+    for (int run = 0; run < kRuns; ++run) {
+      rates.push_back(ops_per_second(threads, [&](int t, std::uint64_t i) {
+        CacheEntry out;
+        std::uint64_t key = nth_key(t, i);
+        if (i % 8 == 0) {
+          cache.insert(key, entry_for(key));
+        } else {
+          benchmark::DoNotOptimize(cache.lookup(key, out));
+        }
+      }));
+    }
+    std::sort(rates.begin(), rates.end());
+    // Quartiles of five sorted runs: the 2nd and 4th values.
+    double median = rates[kRuns / 2];
+    double iqr = rates[3 * kRuns / 4] - rates[kRuns / 4];
+    std::printf("%8d  %14.0f  %14.0f  %18.0f\n", threads, median, iqr, median / threads);
   }
   std::printf("\n");
 }

@@ -21,7 +21,7 @@
 #include "assign/footprint_tracker.h"
 #include "assign/search.h"
 #include "core/json_report.h"
-#include "core/parallel_for.h"
+#include "core/work_stealing.h"
 #include "ir/builder.h"
 #include "oracles/oracles.h"
 
@@ -377,10 +377,8 @@ void print_scaling_report() {
             << core::Table::num(medium_s * 1e3, 2) << " ms\n";
 
   // --- Parallel branch-and-bound: thread-count scaling on the guard-64
-  // rate instance, work-stealing deques against the static root-frontier
-  // split recorded in the same run (same machine, same incumbent seeds).
-  // The optimum must be bit-identical at every thread count under both
-  // schedulers; wall-clock gains need real cores (the CI container has one).
+  // rate instance.  The optimum must be bit-identical at every thread
+  // count; wall-clock gains need real cores (the CI container has one).
   auto g64_ws = core::make_workspace(guard64_program(), guard64_platform(), {});
   auto g64_ctx = g64_ws->context();
   assign::SearchOptions g64_options;
@@ -396,28 +394,20 @@ void print_scaling_report() {
     double seconds;
     long states;
   };
-  std::vector<ParRow> steal_rows;
-  std::vector<ParRow> static_rows;
-  for (bool stealing : {true, false}) {
-    std::vector<ParRow>& curve = stealing ? steal_rows : static_rows;
-    const char* label = stealing ? "work-steal" : "static    ";
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      assign::SearchOptions par_options = g64_options;
-      par_options.bnb_threads = threads;
-      par_options.bnb_work_stealing = stealing;
-      t0 = Clock::now();
-      assign::SearchResult par = assign::searcher("bnb-par").search(g64_ctx, par_options);
-      double par_s = seconds_since(t0);
-      if (par.assignment != g64_serial.assignment || par.scalar != g64_serial.scalar) {
-        std::cout << "WARNING: bnb-par optimum mismatch at " << threads << " threads ("
-                  << (stealing ? "work-stealing" : "static split") << ")\n";
-      }
-      curve.push_back({threads, par_s, par.states_explored});
-      std::cout << "  bnb-par " << label << " " << threads << " threads: "
-                << par.states_explored << " states, " << core::Table::num(par_s * 1e3, 1)
-                << " ms, speedup vs serial "
-                << core::Table::num(g64_serial_s / (par_s > 0 ? par_s : 1e-9), 2) << "x\n";
+  std::vector<ParRow> curve;
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    assign::SearchOptions par_options = g64_options;
+    par_options.bnb_threads = threads;
+    t0 = Clock::now();
+    assign::SearchResult par = assign::searcher("bnb-par").search(g64_ctx, par_options);
+    double par_s = seconds_since(t0);
+    if (par.assignment != g64_serial.assignment || par.scalar != g64_serial.scalar) {
+      std::cout << "WARNING: bnb-par optimum mismatch at " << threads << " threads\n";
     }
+    curve.push_back({threads, par_s, par.states_explored});
+    std::cout << "  bnb-par " << threads << " threads: " << par.states_explored << " states, "
+              << core::Table::num(par_s * 1e3, 1) << " ms, speedup vs serial "
+              << core::Table::num(g64_serial_s / (par_s > 0 ? par_s : 1e-9), 2) << "x\n";
   }
   std::cout << "\n";
 
@@ -473,16 +463,11 @@ void print_scaling_report() {
        << ", \"medium_capacity_prunes\": " << medium.capacity_prunes << "},\n"
        << "  \"bnb_par\": {\"placements\": 52, \"serial_s\": " << g64_serial_s
        << ", \"serial_states\": " << g64_serial.states_explored << ", \"curve\": [\n";
-  auto emit_curve = [&json](const std::vector<ParRow>& curve) {
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-      json << "    {\"threads\": " << curve[i].threads << ", \"s\": " << curve[i].seconds
-           << ", \"states\": " << curve[i].states << "}" << (i + 1 < curve.size() ? "," : "")
-           << "\n";
-    }
-  };
-  emit_curve(steal_rows);  // "curve" stays the headline (work-stealing) run
-  json << "  ], \"static_curve\": [\n";
-  emit_curve(static_rows);
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    json << "    {\"threads\": " << curve[i].threads << ", \"s\": " << curve[i].seconds
+         << ", \"states\": " << curve[i].states << "}" << (i + 1 < curve.size() ? "," : "")
+         << "\n";
+  }
   json << "  ]},\n"
        << "  \"data_layout\": [\n";
   for (std::size_t i = 0; i < data_layout.size(); ++i) {
@@ -575,15 +560,6 @@ void BM_BnbParallel(benchmark::State& state) {
   run_exhaustive_bench(state, "bnb-par", options);
 }
 BENCHMARK(BM_BnbParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_BnbParallelStaticSplit(benchmark::State& state) {
-  assign::SearchOptions options;
-  options.max_states = kRateBudget;
-  options.bnb_threads = static_cast<unsigned>(state.range(0));
-  options.bnb_work_stealing = false;
-  run_exhaustive_bench(state, "bnb-par", options);
-}
-BENCHMARK(BM_BnbParallelStaticSplit)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void run_fits_bench(benchmark::State& state, bool use_tracker) {
   const apps::AppInfo& info = apps::all_apps()[static_cast<std::size_t>(state.range(0))];

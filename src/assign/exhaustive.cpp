@@ -14,7 +14,6 @@
 
 #include "assign/cost_engine.h"
 #include "assign/greedy.h"
-#include "core/parallel_for.h"
 #include "core/run_budget.h"
 #include "core/work_stealing.h"
 #include "obs/trace.h"
@@ -26,7 +25,7 @@ namespace {
 /// The canonical feasible-home enumeration: background first, then the
 /// on-chip layers outermost-in, skipping layers the array does not fit.
 /// Every phase that walks or mirrors the array-home decision — the DFS, the
-/// bound precompute and the bnb-par root-frontier split — goes through
+/// bound precompute and the bnb-par home-ordinal replay — goes through
 /// here: the bit-identity guarantee (parallel vs serial) leans on all of
 /// them visiting homes in exactly this order, and the test oracle
 /// (tests/oracles/) enumerates homes in the same order.
@@ -53,9 +52,6 @@ constexpr std::size_t kMinCopySplit = 8;
 /// an exponential copy phase cannot outrun a deadline or probe allowance,
 /// rare enough that an unbounded solve pays no per-node atomic.
 constexpr long kCopyNodesPerProbe = 64;
-
-/// Static-split parallel search: target root-frontier tasks per worker.
-constexpr std::size_t kStaticTasksPerThread = 4;
 
 /// Stamp the anytime contract fields onto a finished (or truncated) result:
 /// map a completed run to Optimal/gap 0; on a truncated run substitute the
@@ -93,9 +89,9 @@ void finalize_anytime(ExhaustiveResult& result, const AssignContext& ctx, bool b
 /// selection only ever adds footprint, so no completion of such a branch
 /// is feasible).
 ///
-/// Copyable on purpose: the parallel search stamps one task search per
-/// root-frontier subtree from a shared prototype, reusing the engine
-/// precompute and the bound tables instead of rebuilding them per task.
+/// Copyable on purpose: the parallel search stamps one search per pool
+/// worker from a shared prototype, reusing the engine precompute and the
+/// bound tables instead of rebuilding them per worker.
 struct EngineSearch {
   const AssignContext& ctx;
   const ExhaustiveOptions& options;
@@ -125,14 +121,14 @@ struct EngineSearch {
   core::AtomicMin* shared_incumbent = nullptr;
 
   // ---- work-stealing mode (one search per pool worker) ----
-  /// On: this search is one worker of a work-stealing parallel run and
-  /// accumulates bests from subtree tasks visited in *arbitrary* order, so
-  /// canonical-first tie semantics cannot lean on visit order.  Instead the
-  /// search keys every leaf by its canonical path: local pruning turns
-  /// strict (a subtree that could still tie survives) and a tied leaf
-  /// replaces the incumbent iff its path is lexicographically smaller — see
-  /// `evaluate_leaf` and the reduction in `exhaustive_parallel_ws`.
-  bool ws_mode = false;
+  /// Set (ws mode): this search is one worker of a work-stealing parallel
+  /// run and accumulates bests from subtree tasks visited in *arbitrary*
+  /// order, so canonical-first tie semantics cannot lean on visit order.
+  /// Instead the search keys every leaf by its canonical path: local
+  /// pruning turns strict (a subtree that could still tie survives) and a
+  /// tied leaf replaces the incumbent iff its path is lexicographically
+  /// smaller — see `evaluate_leaf` and the reduction in
+  /// `exhaustive_parallel_ws`.  Null for the serial search.
   core::WorkStealingPool* pool = nullptr;
   /// Offload hook: hand a canonical ordinal prefix to the pool as a new
   /// task.  Set per worker by the parallel driver; consulted only when the
@@ -145,7 +141,7 @@ struct EngineSearch {
   /// fits.  The mapping is assignment-state-independent (cumulative
   /// overflow never renumbers), so a prefix replays to the identical
   /// subtree on any worker, and lexicographic order over full paths equals
-  /// canonical DFS order.  Maintained only in ws_mode.
+  /// canonical DFS order.  Maintained only in ws mode.
   std::vector<int> cur_path_;
   std::vector<int> best_path_;  ///< path of `best` (all zeros = out-of-box)
 
@@ -375,7 +371,7 @@ struct EngineSearch {
   /// sums so pruning never discards a state that could strictly improve.
   /// Against the local incumbent the cut is `>=` in serial mode (first
   /// state found in DFS order keeps a tied scalar, so a later tie is
-  /// useless) but strictly `>` in ws_mode: the worker's best may come from
+  /// useless) but strictly `>` in ws mode: the worker's best may come from
   /// a canonically *later* task, so a subtree that could still tie may hold
   /// the canonical-first optimum and must survive for the path tie-break.
   /// Against the shared incumbent of a parallel search the cut is always
@@ -383,7 +379,7 @@ struct EngineSearch {
   bool prune(const Bound& bound) {
     double lb = objective.scalar_terms(bound.exact_e + bound.opt_e, bound.exact_c + bound.opt_c);
     double discounted = lb * (1.0 - 1e-9);
-    bool local_cut = ws_mode ? discounted > best_scalar : discounted >= best_scalar;
+    bool local_cut = pool ? discounted > best_scalar : discounted >= best_scalar;
     if (local_cut || (shared_incumbent && discounted > shared_incumbent->load())) {
       ++bound_prunes;
       return true;
@@ -408,14 +404,14 @@ struct EngineSearch {
     if (!engine.layering_valid()) return;
     double scalar = engine.scalar(objective);
     // Serial tie semantics fall out of visit order (first tie wins, later
-    // ties are not improvements).  In ws_mode ties are decided by canonical
+    // ties are not improvements).  In ws mode ties are decided by canonical
     // path instead, because this worker visits subtrees in steal order.
     bool improved = scalar < best_scalar ||
-                    (ws_mode && scalar == best_scalar && cur_path_ < best_path_);
+                    (pool && scalar == best_scalar && cur_path_ < best_path_);
     if (improved) {
       best_scalar = scalar;
       best = engine.assignment();
-      if (ws_mode) best_path_ = cur_path_;
+      if (pool) best_path_ = cur_path_;
       if (shared_incumbent) shared_incumbent->update(scalar);
       // Incumbent timeline: rare (once per improvement), observation-only,
       // and gated on one relaxed load, so the search path never changes.
@@ -487,8 +483,7 @@ struct EngineSearch {
     // individual fit assigns the ordinal, cumulative overflow prunes — so a
     // spawned ordinal always replays to a branch this DFS would have
     // entered, with the identical capacity_prunes count.
-    if (ws_mode && spawn_subtree && candidates.size() - j >= kMinCopySplit &&
-        pool->starving()) {
+    if (pool && candidates.size() - j >= kMinCopySplit && pool->starving()) {
       const analysis::CopyCandidate& split_cc = candidates[j];
       int ordinal = 0;
       for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
@@ -516,7 +511,7 @@ struct EngineSearch {
     }
     // Option A: skip this candidate.
     {
-      if (ws_mode) cur_path_[A + j] = 0;
+      if (pool) cur_path_[A + j] = 0;
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
       tighten_sites(j, child);
@@ -543,7 +538,7 @@ struct EngineSearch {
         ++capacity_prunes;
         continue;
       }
-      if (ws_mode) cur_path_[A + j] = ordinal;
+      if (pool) cur_path_[A + j] = ordinal;
       CostEngine::Checkpoint cp = engine.checkpoint();
       engine.select_copy(cc.id, layer);
       Bound child = bound;
@@ -587,7 +582,7 @@ struct EngineSearch {
   }
 
   /// Replay one copy decision of a stolen task's prefix onto the engine and
-  /// the bound (ws_mode only).  No prune or feasibility
+  /// the bound (ws mode only).  No prune or feasibility
   /// re-checks: the spawning worker ran them on the identical deterministic
   /// state before offloading, so re-running could only agree.
   void apply_copy_ordinal(std::size_t j, int ordinal, Bound& bound) {
@@ -670,7 +665,7 @@ struct EngineSearch {
     // Work-stealing split: offload every sibling home but the canonical
     // first and descend only that one.  The array phase is shallow and
     // every subtree under it is large, so it splits whenever peers starve.
-    if (ws_mode && spawn_subtree && pool->starving()) {
+    if (pool && pool->starving()) {
       int count = 0;
       for_each_feasible_home(ctx, array, options.allow_array_migration, [&](int) { ++count; });
       for (int ordinal = 1; ordinal < count; ++ordinal) {
@@ -693,7 +688,7 @@ struct EngineSearch {
     }
     int ordinal = 0;
     for_each_feasible_home(ctx, array, options.allow_array_migration, [&](int layer) {
-      if (ws_mode) cur_path_[index] = ordinal;
+      if (pool) cur_path_[index] = ordinal;
       ++ordinal;
       CostEngine::Checkpoint cp = engine.checkpoint();
       engine.set_home(index, layer);
@@ -704,12 +699,9 @@ struct EngineSearch {
     });
   }
 
-  /// Global admissible scalar lower bound of the whole search (the root
-  /// bound of `run(0)` before any decision): every feasible assignment
-  /// costs at least this much.  Built from the static per-site/per-array
-  /// tables, so it is independent of the engine's current state — the
-  /// anytime gap certificate compares the incumbent against it.
-  double root_scalar_bound() {
+  /// The bound before any decision.  Built from the static per-site and
+  /// per-array tables, so it is independent of the engine's current state.
+  Bound root_bound() const {
     Bound bound;
     bound.exact_c = engine.compute_cycles();
     const std::size_t S = engine.num_sites();
@@ -717,32 +709,25 @@ struct EngineSearch {
       bound.opt_e += site_open_e_[s];
       bound.opt_c += site_open_c_[s];
     }
+    return bound;
+  }
+
+  /// Global admissible scalar lower bound of the whole search: every
+  /// feasible assignment costs at least this much — the anytime gap
+  /// certificate compares the incumbent against it.
+  double root_scalar_bound() const {
+    Bound bound = root_bound();
     return objective.scalar_terms(bound.exact_e + bound.opt_e, bound.exact_c + bound.opt_c);
   }
 
-  /// Run the search from array index `start` on; homes of arrays before
-  /// `start` must already be set on the engine (the static-split parallel
-  /// tasks replay their root-frontier prefix that way, the serial search
-  /// starts at 0).
-  void run(std::size_t start) {
-    Bound bound;
-    bound.exact_c = engine.compute_cycles();
-    const std::size_t S = engine.num_sites();
-    for (std::size_t s = 0; s < S; ++s) {
-      bound.opt_e += site_open_e_[s];
-      bound.opt_c += site_open_c_[s];
-    }
-    for (std::size_t a = 0; a < start; ++a) {
-      apply_home_to_bound(a, engine.home_of(a), bound);
-    }
-    recurse_arrays(start, bound);
-  }
+  /// Run the serial search from the root.
+  void run() { recurse_arrays(0, root_bound()); }
 
   /// Execute one work-stealing task: replay the canonical ordinal prefix
   /// onto this worker's engine, search the subtree under it, and unwind so
   /// the next task this worker claims starts from a pristine out-of-box
-  /// engine.  A prefix inside the array phase rebuilds the root bound
-  /// exactly as `run(0)` does; a prefix reaching the copy phase lets
+  /// engine.  A prefix inside the array phase starts from `root_bound()`
+  /// as `run()` does; a prefix reaching the copy phase lets
   /// `enter_copy_phase_at` rebuild its own bound — either way replay needs
   /// nothing from the spawning worker beyond the ordinals.
   ///
@@ -759,13 +744,7 @@ struct EngineSearch {
       engine.set_home(a, home_ordinal_layer(a, prefix[a]));
     }
     if (prefix.size() < A) {
-      Bound bound;
-      bound.exact_c = engine.compute_cycles();
-      const std::size_t S = engine.num_sites();
-      for (std::size_t s = 0; s < S; ++s) {
-        bound.opt_e += site_open_e_[s];
-        bound.opt_c += site_open_c_[s];
-      }
+      Bound bound = root_bound();
       for (std::size_t a = 0; a < homes; ++a) {
         apply_home_to_bound(a, engine.home_of(a), bound);
       }
@@ -811,7 +790,7 @@ ExhaustiveResult exhaustive_engine(const AssignContext& ctx, const ExhaustiveOpt
   double root_lb = search.root_scalar_bound();
   {
     obs::Span span("bnb_walk", "search");
-    search.run(0);
+    search.run();
   }
 
   ExhaustiveResult result;
@@ -824,125 +803,15 @@ ExhaustiveResult exhaustive_engine(const AssignContext& ctx, const ExhaustiveOpt
   return result;
 }
 
-/// A root-frontier task of the parallel search: the home layers of the
-/// first `layers.size()` arrays, in declaration order.  Expanding the
-/// array-home prefix tree breadth-first — prefixes in order, layers in the
-/// serial branch order — keeps the task list in canonical DFS-subtree
-/// order, which the tie-breaking reduction below relies on.
-std::vector<std::vector<int>> split_root_frontier(const AssignContext& ctx,
-                                                  const ExhaustiveOptions& options,
-                                                  std::size_t target_tasks) {
-  const auto& arrays = ctx.program.arrays();
-
-  std::vector<std::vector<int>> frontier{{}};
-  for (std::size_t depth = 0; depth < arrays.size() && frontier.size() < target_tasks; ++depth) {
-    std::vector<std::vector<int>> next;
-    next.reserve(frontier.size() * static_cast<std::size_t>(ctx.hierarchy.num_layers()));
-    for (const std::vector<int>& prefix : frontier) {
-      for_each_feasible_home(ctx, arrays[depth], options.allow_array_migration, [&](int layer) {
-        std::vector<int> child = prefix;
-        child.push_back(layer);
-        next.push_back(std::move(child));
-      });
-    }
-    frontier = std::move(next);
-  }
-  return frontier;
-}
-
-/// The original static split, kept behind `work_stealing = false` as the
-/// comparison baseline: the root frontier is carved into a fixed task list
-/// up front, so uneven subtrees idle workers that finished early.
-ExhaustiveResult exhaustive_parallel_static(const AssignContext& ctx,
-                                            const ExhaustiveOptions& options,
-                                            core::RunBudget* run_budget) {
-  // One prototype carries the engine precompute and the bound tables; every
-  // task copies it instead of rebuilding them.  Its out-of-box incumbent is
-  // also the serial search's starting incumbent.
-  EngineSearch prototype(ctx, options);
-  prototype.run_budget = run_budget;
-  double root_lb = prototype.root_scalar_bound();
-
-  ExhaustiveResult result;
-  result.assignment = prototype.best;
-  result.scalar = prototype.best_scalar;
-
-  unsigned threads = options.num_threads ? options.num_threads : core::default_parallelism();
-  std::size_t target_tasks = static_cast<std::size_t>(threads) * kStaticTasksPerThread;
-  std::vector<std::vector<int>> tasks = split_root_frontier(ctx, options, target_tasks);
-  // Unreachable while the background layer is unbounded (every array always
-  // has at least one feasible home); kept as a cheap defense so a future
-  // bounded-background hierarchy degrades to the serial no-leaves result.
-  if (tasks.empty()) {
-    finalize_anytime(result, ctx, /*budget_hit=*/false, root_lb, nullptr);
-    return result;
-  }
-
-  // The shared incumbent starts at the out-of-box scalar and the greedy
-  // scalar: both are costs of feasible assignments, so pruning
-  // strictly above them never cuts an optimal state.  The seed is a bound
-  // only — the returned assignment always comes from the enumeration, with
-  // the greedy fallback substituted only on a budget-truncated run.
-  core::AtomicMin incumbent(prototype.best_scalar);
-  GreedyResult fallback = greedy_incumbent_seed(ctx, options, run_budget);
-  incumbent.update(fallback.final_scalar);
-
-  struct TaskOutcome {
-    Assignment best;
-    double scalar = 0.0;
-    long states = 0;
-    bool budget_hit = false;
-    long bound_prunes = 0;
-    long capacity_prunes = 0;
-    bool ran = false;  ///< false when the budget expired before the task started
-  };
-  std::vector<TaskOutcome> outcomes(tasks.size());
-  core::parallel_for(tasks.size(), threads, [&](std::size_t t) {
-    obs::Span span("bnb_task", "search");
-    EngineSearch search(prototype);
-    search.shared_incumbent = &incumbent;
-    for (std::size_t a = 0; a < tasks[t].size(); ++a) {
-      search.engine.set_home(a, tasks[t][a]);
-    }
-    search.run(tasks[t].size());
-    outcomes[t] = {std::move(search.best),      search.best_scalar,
-                   search.states,               search.budget_hit,
-                   search.bound_prunes,         search.capacity_prunes,
-                   /*ran=*/true};
-  }, run_budget);
-
-  // Canonical-order reduction: strict improvement keeps the earliest task on
-  // ties, exactly as the serial DFS keeps the first state it visits.  A task
-  // the expired budget prevented from running leaves a default outcome that
-  // must not win the reduction — it only marks the run truncated.
-  bool budget_hit = false;
-  for (TaskOutcome& outcome : outcomes) {
-    if (!outcome.ran) {
-      budget_hit = true;
-      continue;
-    }
-    if (outcome.scalar < result.scalar) {
-      result.scalar = outcome.scalar;
-      result.assignment = std::move(outcome.best);
-    }
-    result.states_explored += outcome.states;
-    budget_hit = budget_hit || outcome.budget_hit;
-    result.bound_prunes += outcome.bound_prunes;
-    result.capacity_prunes += outcome.capacity_prunes;
-  }
-  finalize_anytime(result, ctx, budget_hit, root_lb, &fallback);
-  return result;
-}
-
 /// Work-stealing parallel search: one `EngineSearch` per pool worker
 /// (lazily copied from the shared prototype), subtree tasks that split
 /// themselves on demand — root homes first, then down into the copy phase —
 /// whenever peers starve, a shared strictly-pruning incumbent, and a
 /// (scalar, canonical-path) reduction over the per-worker bests that
 /// returns exactly the serial `"bnb"` optimum for any thread count and any
-/// steal interleaving (see the ws_mode notes on `EngineSearch`).
+/// steal interleaving (see the ws-mode notes on `EngineSearch::pool`).
 ExhaustiveResult exhaustive_parallel_ws(const AssignContext& ctx, const ExhaustiveOptions& options,
-                                        core::RunBudget* run_budget) {
+                                        unsigned threads, core::RunBudget* run_budget) {
   EngineSearch prototype(ctx, options);
   prototype.run_budget = run_budget;
   double root_lb = prototype.root_scalar_bound();
@@ -958,11 +827,9 @@ ExhaustiveResult exhaustive_parallel_ws(const AssignContext& ctx, const Exhausti
   GreedyResult fallback = greedy_incumbent_seed(ctx, options, run_budget);
   incumbent.update(fallback.final_scalar);
 
-  unsigned threads = options.num_threads ? options.num_threads : core::default_parallelism();
   core::WorkStealingPool pool(threads);
 
   const std::size_t path_len = ctx.program.arrays().size() + ctx.reuse.candidates().size();
-  prototype.ws_mode = true;
   prototype.pool = &pool;
   prototype.shared_incumbent = &incumbent;
   prototype.cur_path_.assign(path_len, 0);
@@ -1055,8 +922,11 @@ ExhaustiveResult exhaustive_parallel_assign(const AssignContext& ctx,
   check_placement_guard(ctx, has_bounded_budget(options));
   std::optional<core::RunBudget> local;
   core::RunBudget* budget = resolve_budget(options, local);
-  return options.work_stealing ? exhaustive_parallel_ws(ctx, options, budget)
-                               : exhaustive_parallel_static(ctx, options, budget);
+  unsigned threads = options.num_threads ? options.num_threads : core::default_parallelism();
+  // One worker is the serial search: the pool would replay the same DFS
+  // with path bookkeeping and strict local pruning for no balance to gain.
+  if (threads == 1) return exhaustive_engine(ctx, options, budget);
+  return exhaustive_parallel_ws(ctx, options, threads, budget);
 }
 
 }  // namespace mhla::assign

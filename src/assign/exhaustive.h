@@ -21,13 +21,6 @@ struct ExhaustiveOptions {
   /// `exhaustive_parallel_assign` worker threads (0 = hardware concurrency).
   unsigned num_threads = 0;
 
-  /// Parallel path only: schedule subtree tasks on `core::WorkStealingPool`
-  /// deques, splitting on demand whenever a worker starves (default),
-  /// instead of the fixed breadth-first root-frontier split.  Both
-  /// schedulers return the bit-identical serial optimum; the static split
-  /// is kept as the scaling-comparison baseline.
-  bool work_stealing = true;
-
   /// Cooperative run budget: one probe per evaluated state (plus one per
   /// array-phase node, so prune-heavy searches still observe a deadline
   /// promptly).  When the budget expires the search unwinds and returns
@@ -78,29 +71,29 @@ struct ExhaustiveResult {
 /// (the guard exists to bound runtime, and a budget bounds it better).
 ExhaustiveResult exhaustive_assign(const AssignContext& ctx, const ExhaustiveOptions& options = {});
 
-/// Parallel branch-and-bound (registry strategy "bnb-par").  By default
-/// (`work_stealing`) subtree tasks live on per-worker work-stealing deques:
-/// one seed task descends from the root and every task offloads sibling
-/// branches — array homes first, then down into the copy phase — the moment
-/// the pool starves, so uneven subtrees rebalance onto idle workers instead
-/// of idling them.  Tasks are canonical ordinal prefixes, replayed onto a
+/// Parallel branch-and-bound (registry strategy "bnb-par").  Subtree tasks
+/// live on the per-worker deques of a `core::WorkStealingPool`: one seed
+/// task descends from the root and every task offloads sibling branches —
+/// array homes first, then down into the copy phase — the moment the pool
+/// starves, so uneven subtrees rebalance onto idle workers instead of
+/// idling them.  Tasks are canonical ordinal prefixes, replayed onto a
 /// per-worker engine; every worker prunes against a shared atomic incumbent
-/// bound seeded with the greedy scalar.  With `work_stealing`
-/// off, the original fixed breadth-first root-frontier split (~4 tasks per
-/// thread) runs instead.
+/// bound seeded with the greedy scalar.  With one resolved worker it runs
+/// the serial search itself and returns exactly `exhaustive_assign`'s
+/// result, counters included.
 ///
 /// The result — best assignment and scalar — is **bit-identical to serial
 /// branch-and-bound for any thread count and any steal interleaving**: the
 /// shared incumbent only ever holds scalars of feasible assignments,
 /// cross-task pruning is strict (a subtree is cut only when it provably
-/// cannot *equal* the incumbent), and under work stealing every leaf is
-/// keyed by its canonical DFS path, with local pruning strict too and ties
-/// resolved to the lexicographically-first path — exactly the leaf serial
-/// DFS reaches first.  The state/prune counters, by contrast, depend on
-/// incumbent-propagation timing and are not reproducible run to run;
-/// `max_states` bounds each worker (each static-split task), and the
-/// determinism guarantee requires the budget not to bind.  The instance
-/// guard is `kEnginePlacementGuard`, as for the serial search.
+/// cannot *equal* the incumbent), and every leaf is keyed by its canonical
+/// DFS path, with local pruning strict too and ties resolved to the
+/// lexicographically-first path — exactly the leaf serial DFS reaches
+/// first.  Above one worker the state/prune counters, by contrast, depend
+/// on incumbent-propagation timing and are not reproducible run to run;
+/// `max_states` bounds each worker, and the determinism guarantee requires
+/// the budget not to bind.  The instance guard is `kEnginePlacementGuard`,
+/// as for the serial search.
 ExhaustiveResult exhaustive_parallel_assign(const AssignContext& ctx,
                                             const ExhaustiveOptions& options = {});
 

@@ -82,7 +82,6 @@ ExhaustiveOptions to_exhaustive_options(const SearchOptions& options) {
   exhaustive.max_states = options.max_states;
   exhaustive.allow_array_migration = options.allow_array_migration;
   exhaustive.num_threads = options.bnb_threads;
-  exhaustive.work_stealing = options.bnb_work_stealing;
   exhaustive.budget = options.budget;
   exhaustive.shared_budget = options.shared_budget;
   return exhaustive;

@@ -53,14 +53,16 @@ struct SearchOptions {
   double anneal_initial_temp = 0.05;
   double anneal_cooling = 0.997;
 
-  /// "bnb-par" knobs: parallel branch-and-bound over subtree tasks sharing
+  /// "bnb-par" knob: parallel branch-and-bound over subtree tasks sharing
   /// one atomic incumbent bound, seeded with the greedy scalar.  The result
   /// is bit-identical to serial "bnb" for any thread count (the incumbent
-  /// only prunes); the knobs trade setup overhead against load balance.
+  /// only prunes); one worker runs the serial search itself.
   unsigned bnb_threads = 0;  ///< worker threads (0 = hardware concurrency)
-  /// Schedule "bnb-par" subtree tasks on work-stealing deques that split on
-  /// demand (default) instead of the fixed root-frontier split; off keeps
-  /// the static split as the scaling-comparison baseline.
+  /// Retired: no code reads this field.  "bnb-par" has one scheduler, the
+  /// work-stealing pool, and the config key is read and ignored.  The field
+  /// stays only because the frozen benchmark source
+  /// perfbench/src/exact_search.cpp still assigns it; delete it together
+  /// with that assignment.
   bool bnb_work_stealing = true;
 
   /// Cooperative run budget for any strategy (see core::BudgetSpec).  The

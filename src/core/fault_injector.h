@@ -22,7 +22,8 @@ class FaultInjectedError : public std::runtime_error {
 /// subsequent hit (1-based, one-shot): the nth `IoWrite` hit makes
 /// `ResultCache::save` fail mid-write, the nth `BudgetProbe` hit expires a
 /// `RunBudget` with `StopReason::Injected`, the nth `ParallelBody` hit
-/// throws `FaultInjectedError` out of a `parallel_for` body.  Because the
+/// throws `FaultInjectedError` out of a `WorkStealingPool` task (a
+/// `parallel_for` body or a bnb-par subtree).  Because the
 /// trigger is a hit count, not a timer or a random draw, every injected
 /// failure is reproducible run to run.
 ///
@@ -36,7 +37,7 @@ class FaultInjector {
   enum class Site : int {
     IoWrite = 0,       ///< persistence write/flush/rename steps
     BudgetProbe = 1,   ///< RunBudget::probe
-    ParallelBody = 2,  ///< parallel_for body invocation
+    ParallelBody = 2,  ///< WorkStealingPool task run (incl. parallel_for)
   };
   static constexpr int kNumSites = 3;
 

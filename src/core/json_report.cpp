@@ -305,7 +305,6 @@ std::string to_json(const PipelineConfig& config, int indent) {
       << ", \"anneal_initial_temp\": " << num_exact(search.anneal_initial_temp)
       << ", \"anneal_cooling\": " << num_exact(search.anneal_cooling)
       << ",\n" << p1 << "             \"bnb_threads\": " << search.bnb_threads
-      << ", \"bnb_work_stealing\": " << bool_text(search.bnb_work_stealing)
       << ",\n" << p1 << "             \"deadline_seconds\": "
       << num_exact(search.budget.deadline_seconds)
       << ", \"max_probes\": " << search.budget.max_probes << "},\n";
@@ -378,7 +377,6 @@ PipelineConfig pipeline_config_from_json(const std::string& text) {
                    .field("anneal_initial_temp", search.anneal_initial_temp, as_double)
                    .field("anneal_cooling", search.anneal_cooling, as_double)
                    .field("bnb_threads", search.bnb_threads, as_unsigned)
-                   .field("bnb_work_stealing", search.bnb_work_stealing, as_bool)
                    .field("deadline_seconds", search.budget.deadline_seconds, as_double)
                    .field("max_probes", search.budget.max_probes, as_long)
                    // Retired toggles: each selected a path whose result was
@@ -390,7 +388,8 @@ PipelineConfig pipeline_config_from_json(const std::string& text) {
                    .retired("greedy_batched_scoring")
                    .retired("use_footprint_bound")
                    .retired("bnb_tasks_per_thread")
-                   .retired("bnb_seed_incumbent");
+                   .retired("bnb_seed_incumbent")
+                   .retired("bnb_work_stealing");
                return search;
              })
       .field("te", config.te,

@@ -3,8 +3,8 @@
 #include <chrono>
 #include <mutex>
 
-#include "core/parallel_for.h"
 #include "core/run_budget.h"
+#include "core/work_stealing.h"
 #include "ir/validate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

@@ -1,5 +1,6 @@
 #include "core/work_stealing.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -11,8 +12,8 @@ namespace mhla::core {
 
 namespace {
 
-/// Joins every joinable thread on scope exit (same guard parallel_for uses):
-/// a throwing emplace_back mid-spawn must not destruct an unjoined thread.
+/// Joins every joinable thread on scope exit: a throwing emplace_back
+/// mid-spawn must not destruct an unjoined thread.
 class ThreadJoiner {
  public:
   explicit ThreadJoiner(std::vector<std::thread>& threads) : threads_(threads) {}
@@ -29,6 +30,11 @@ class ThreadJoiner {
 };
 
 }  // namespace
+
+unsigned default_parallelism() {
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
 
 WorkStealingPool::WorkStealingPool(unsigned num_threads)
     : num_workers_(num_threads > 0 ? num_threads : 1) {
@@ -144,6 +150,17 @@ std::size_t WorkStealingPool::run(RunBudget* budget) {
   }
   if (error_) std::rethrow_exception(error_);
   return skipped_.load(std::memory_order_relaxed);
+}
+
+void parallel_for(std::size_t count, unsigned num_threads,
+                  const std::function<void(std::size_t)>& body) {
+  if (count == 0) return;
+  if (num_threads == 0) num_threads = default_parallelism();
+  WorkStealingPool pool(static_cast<unsigned>(std::min<std::size_t>(num_threads, count)));
+  for (std::size_t i = count; i-- > 0;) {
+    pool.spawn(0, [&body, i](unsigned) { body(i); });
+  }
+  pool.run();
 }
 
 }  // namespace mhla::core

@@ -13,9 +13,14 @@ namespace mhla::core {
 
 class RunBudget;
 
+/// Number of workers `parallel_for` and the parallel branch-and-bound use
+/// when the caller asks for 0: the hardware concurrency, with a floor of 1.
+unsigned default_parallelism();
+
 /// A pool of workers draining per-worker deques of tasks, with on-demand
-/// stealing — the load balancer behind the parallel branch-and-bound
-/// ("bnb-par") search, whose subtrees are far too uneven for a static split.
+/// stealing — the one parallel runtime of the library: it runs the parallel
+/// branch-and-bound ("bnb-par") search, whose subtrees are far too uneven
+/// for a static split, and every `parallel_for` index space.
 ///
 /// Each worker owns one lock-striped deque: it pushes and pops its own tasks
 /// LIFO (depth-first, cache-warm), and steals from a victim's deque FIFO
@@ -25,7 +30,7 @@ class RunBudget;
 /// decide whether splitting itself up is worth the bookkeeping (it is true
 /// while some worker is hunting for work or the queues are near-empty).
 ///
-/// Semantics, matching `core::parallel_for`:
+/// Semantics:
 ///
 ///  * `run` blocks until every task (seeded and spawned) has finished, then
 ///    returns the number of tasks *skipped*.  Tasks are skipped — claimed
@@ -39,6 +44,11 @@ class RunBudget;
 ///    deterministic loop.
 ///  * The budget is observed, never charged — tasks that want to spend
 ///    probes do so themselves.
+///  * Spawned threads are joined on every path (including a failed spawn),
+///    never leaked to std::terminate.
+///  * The fault injector's `ParallelBody` site wraps every task run: an
+///    armed injector makes the Nth task throw `FaultInjectedError`, which
+///    then follows the normal exception path above.
 ///
 /// The pool makes no ordering promise between tasks: callers needing a
 /// deterministic reduction must make their per-task results order-free
@@ -101,6 +111,47 @@ class WorkStealingPool {
 
   std::mutex error_mu_;
   std::exception_ptr error_;
+};
+
+/// Run `body(i)` for every i in [0, count) on a `WorkStealingPool` of
+/// `num_threads` workers (0 = `default_parallelism()`, never more than
+/// `count`), with the pool's exception, coverage and fault contracts.
+/// The indices are seeded onto worker 0 in reverse, so its LIFO pops walk
+/// them in ascending order while thieves take the highest ones; a single
+/// worker is a plain ascending loop on the calling thread.  Each index runs
+/// exactly once, so a body that only writes to its own index's slot is
+/// deterministic for any thread count.
+void parallel_for(std::size_t count, unsigned num_threads,
+                  const std::function<void(std::size_t)>& body);
+
+/// Lock-free running minimum over doubles, shared by pool tasks.
+///
+/// `update` folds a candidate in with a compare-exchange loop; min is
+/// commutative and associative, so the final value is the true minimum of
+/// every folded candidate regardless of interleaving.  `load` may observe a
+/// stale (larger) value mid-run but never a smaller-than-true one, which is
+/// exactly the guarantee a parallel branch-and-bound needs from its shared
+/// incumbent: pruning against a stale bound is merely less effective, never
+/// unsound.  NaN candidates are ignored.
+class AtomicMin {
+ public:
+  explicit AtomicMin(double initial) : value_(initial) {}
+
+  double load() const { return value_.load(std::memory_order_relaxed); }
+
+  /// Returns true if `candidate` became the new minimum.
+  bool update(double candidate) {
+    double current = value_.load(std::memory_order_relaxed);
+    while (candidate < current) {
+      if (value_.compare_exchange_weak(current, candidate, std::memory_order_relaxed)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::atomic<double> value_;
 };
 
 }  // namespace mhla::core

@@ -13,8 +13,8 @@
 #include <cstdio>
 
 #include "core/json_report.h"
-#include "core/parallel_for.h"
 #include "core/run_budget.h"
+#include "core/work_stealing.h"
 #include "ir/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

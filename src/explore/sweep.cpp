@@ -4,7 +4,7 @@
 #include <tuple>
 #include <utility>
 
-#include "core/parallel_for.h"
+#include "core/work_stealing.h"
 
 namespace mhla::xplore {
 

@@ -1,10 +1,11 @@
-#include "core/parallel_for.h"
+#include "core/work_stealing.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace mhla::core {
@@ -37,10 +38,22 @@ TEST(ParallelFor, MoreThreadsThanWork) {
 }
 
 TEST(ParallelFor, DeterministicSlotWrites) {
+  // One worker is a plain ascending loop on the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool on_caller = true;
   std::vector<int> serial(64), parallel(64);
-  parallel_for(serial.size(), 1, [&](std::size_t i) { serial[i] = static_cast<int>(i * i); });
+  parallel_for(serial.size(), 1, [&](std::size_t i) {
+    serial[i] = static_cast<int>(i * i);
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
   parallel_for(parallel.size(), 4, [&](std::size_t i) { parallel[i] = static_cast<int>(i * i); });
   EXPECT_EQ(serial, parallel);
+  std::vector<std::size_t> ascending(serial.size());
+  std::iota(ascending.begin(), ascending.end(), std::size_t{0});
+  EXPECT_EQ(order, ascending);
+  EXPECT_TRUE(on_caller);
 }
 
 TEST(ParallelFor, PropagatesBodyException) {

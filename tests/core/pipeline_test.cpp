@@ -68,7 +68,6 @@ PipelineConfig custom_config() {
   config.search.max_states = 12345;
   config.search.allow_array_migration = false;
   config.search.bnb_threads = 6;
-  config.search.bnb_work_stealing = false;
   config.te.order = te::ExtensionOrder::BySizeDescending;
   config.te.max_lookahead = 5;
   config.te.charge_cold_start = true;
@@ -253,22 +252,19 @@ TEST(PipelineConfigJson, PartialDocumentsKeepDefaults) {
 }
 
 TEST(PipelineConfigJson, BnbParKnobsRoundTrip) {
-  // The parallel branch-and-bound knobs ride in the search block: partial
-  // documents set them, dumps carry them, and the round trip is lossless
+  // The parallel branch-and-bound knob rides in the search block: partial
+  // documents set it, dumps carry it, and the round trip is lossless
   // (CustomConfigRoundTripsLosslessly covers non-default values).
   PipelineConfig parsed = pipeline_config_from_json(
-      R"({"strategy": "bnb-par",
-          "search": {"bnb_threads": 4, "bnb_work_stealing": false}})");
+      R"({"strategy": "bnb-par", "search": {"bnb_threads": 4}})");
   EXPECT_EQ(parsed.strategy, "bnb-par");
   EXPECT_EQ(parsed.search.bnb_threads, 4u);
-  EXPECT_FALSE(parsed.search.bnb_work_stealing);
 
   std::string dumped = to_json(PipelineConfig{});
   EXPECT_NE(dumped.find("bnb_threads"), std::string::npos);
-  EXPECT_NE(dumped.find("bnb_work_stealing"), std::string::npos);
 }
 
-/// `mhla_tool --dump-config` as written before seven search toggles were
+/// `mhla_tool --dump-config` as written before eight search toggles were
 /// retired, verbatim: the document still carries every retired key.
 constexpr const char* kDumpWithRetiredToggles = R"json({
   "platform": {
@@ -296,7 +292,7 @@ TEST(PipelineConfigJson, DumpWithRetiredTogglesStillLoadsAndRunsIdentically) {
   for (const char* retired :
        {"use_cost_engine", "use_branch_and_bound", "use_footprint_tracker",
         "greedy_batched_scoring", "use_footprint_bound", "bnb_tasks_per_thread",
-        "bnb_seed_incumbent"}) {
+        "bnb_seed_incumbent", "bnb_work_stealing"}) {
     EXPECT_EQ(dumped.find(retired), std::string::npos) << retired;
   }
   for (const char* strategy : {"greedy", "bnb"}) {
@@ -323,7 +319,7 @@ TEST(PipelineConfigJson, RetiredToggleValuesAreIgnored) {
       R"({"search": {"use_cost_engine": false, "use_branch_and_bound": false,
                      "use_footprint_tracker": false, "greedy_batched_scoring": false,
                      "use_footprint_bound": false, "bnb_tasks_per_thread": 1,
-                     "bnb_seed_incumbent": false},
+                     "bnb_seed_incumbent": false, "bnb_work_stealing": false},
           "te": {"use_footprint_tracker": false}})");
   EXPECT_EQ(all_off, PipelineConfig{});
   auto ws = make_workspace(testing::blocked_reuse_program(), {}, {});

@@ -10,9 +10,8 @@
 //                                               never changes it), never
 //                                               more states
 //   bnb-par  vs bnb                           — identical optimum for any
-//                                               thread count, under both the
-//                                               work-stealing scheduler and
-//                                               the static-split baseline
+//                                               thread count and any steal
+//                                               schedule
 //   greedy / anneal                           — scalar dominated by the
 //                                               exact optimum
 //
@@ -117,7 +116,8 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
     }
 
     // Parallel pair: bnb-par must reproduce serial bnb bit for bit at
-    // several thread counts (the shared incumbent only prunes).
+    // several thread counts (the shared incumbent only prunes).  One
+    // worker is the serial search itself, so its counters match too.
     if (placements <= assign::kEnginePlacementGuard) {
       assign::SearchOptions serial_options = options;
       serial_options.max_states = 300000;
@@ -127,20 +127,22 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
           have_optimum = true;
           optimum = serial;
         }
-        for (unsigned threads : {2u, 3u}) {
+        for (unsigned threads : {1u, 2u, 3u}) {
           assign::SearchOptions par_options = serial_options;
           par_options.bnb_threads = threads;
-          // Alternate schedulers across the corpus so both the work-stealing
-          // deques and the static-split baseline face every program shape.
-          par_options.bnb_work_stealing = (seed + threads) % 2 == 0;
           assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, par_options);
-          // max_states bounds each task separately and task pruning depends
-          // on incumbent timing, so a task can run out of budget even when
+          // max_states bounds each worker separately and pruning depends on
+          // incumbent timing, so a worker can run out of budget even when
           // the serial search did not; bit-identity is only guaranteed
           // budget-free.
           if (parallel.exhausted_budget) continue;
           EXPECT_EQ(parallel.assignment, serial.assignment) << "threads " << threads;
           EXPECT_EQ(parallel.scalar, serial.scalar) << "threads " << threads;
+          if (threads == 1) {
+            EXPECT_EQ(parallel.states_explored, serial.states_explored);
+            EXPECT_EQ(parallel.bound_prunes, serial.bound_prunes);
+            EXPECT_EQ(parallel.capacity_prunes, serial.capacity_prunes);
+          }
         }
         ++parallel_compared;
       }
@@ -172,11 +174,10 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
 std::vector<std::string> stress_apps() { return {"conv_filter", "cavity_detection"}; }
 
 TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
-  // Both schedulers — the work-stealing deques (default) and the static
-  // root-frontier split kept as the comparison baseline — must reproduce the
-  // serial optimum bit for bit at every thread count.  Under work stealing
-  // the subtree interleaving additionally depends on steal timing, so the
-  // same gate covers "any steal schedule".
+  // bnb-par must reproduce the serial optimum bit for bit at every thread
+  // count.  The subtree interleaving depends on steal timing, so the same
+  // gate covers "any steal schedule".  One worker is the serial search
+  // itself, so there even the state count matches.
   for (const std::string& app : stress_apps()) {
     SCOPED_TRACE(app);
     auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
@@ -184,17 +185,18 @@ TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
     assign::SearchOptions options;
     assign::SearchResult serial = assign::searcher("bnb").search(ctx, options);
     ASSERT_FALSE(serial.exhausted_budget);
-    for (bool stealing : {true, false}) {
-      for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        SCOPED_TRACE((stealing ? "work-stealing, threads " : "static split, threads ") +
-                     std::to_string(threads));
-        assign::SearchOptions par_options = options;
-        par_options.bnb_threads = threads;
-        par_options.bnb_work_stealing = stealing;
-        assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, par_options);
-        EXPECT_EQ(parallel.assignment, serial.assignment);
-        EXPECT_EQ(parallel.scalar, serial.scalar);
-        EXPECT_FALSE(parallel.exhausted_budget);
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      assign::SearchOptions par_options = options;
+      par_options.bnb_threads = threads;
+      assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, par_options);
+      EXPECT_EQ(parallel.assignment, serial.assignment);
+      EXPECT_EQ(parallel.scalar, serial.scalar);
+      EXPECT_FALSE(parallel.exhausted_budget);
+      if (threads == 1) {
+        EXPECT_EQ(parallel.states_explored, serial.states_explored);
+        EXPECT_EQ(parallel.bound_prunes, serial.bound_prunes);
+        EXPECT_EQ(parallel.capacity_prunes, serial.capacity_prunes);
       }
     }
   }

@@ -4,7 +4,7 @@
 //
 //  * core::FaultInjector forces deterministic failures at the three armed
 //    sites — an I/O step inside ResultCache::save, a RunBudget probe, a
-//    parallel_for body — and every consumer must degrade, not corrupt:
+//    work-stealing pool task — and every consumer must degrade, not corrupt:
 //    the cache never loses previously persisted entries, every search
 //    strategy returns a consistent best-so-far state, the thread pool
 //    joins its workers and stays reusable.
@@ -39,9 +39,9 @@
 #include "assign/search.h"
 #include "core/fault_injector.h"
 #include "core/json_report.h"
-#include "core/parallel_for.h"
 #include "core/pipeline.h"
 #include "core/run_budget.h"
+#include "core/work_stealing.h"
 #include "explore/explorer.h"
 #include "gen/random_program.h"
 #include "helpers.h"
@@ -154,17 +154,6 @@ TEST(FaultInjection, ParallelForRethrowsInjectedBodyFaultAndStaysUsable) {
     core::parallel_for(64, threads, [&](std::size_t) { ++ran; });
     EXPECT_EQ(ran.load(), 64);
   }
-}
-
-TEST(FaultInjection, ParallelForStopsClaimingOnceBudgetExpires) {
-  core::BudgetSpec spec;
-  spec.max_probes = 1;
-  core::RunBudget budget(spec);
-  budget.probe();
-  budget.probe();  // expired now
-  std::atomic<int> ran{0};
-  core::parallel_for(100, 4, [&](std::size_t) { ++ran; }, &budget);
-  EXPECT_EQ(ran.load(), 0);
 }
 
 // --- Injected budget expiry through every search strategy -------------------
