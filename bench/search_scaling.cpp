@@ -173,7 +173,7 @@ FeasibilityRow measure_feasibility(const apps::AppInfo& info) {
   row.app = info.name;
   auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   const assign::Assignment& base = greedy.assignment;
   const int background = ctx.hierarchy.background();
 
@@ -283,13 +283,13 @@ void print_scaling_report() {
     assign::SearchOptions options;
 
     auto t0 = Clock::now();
-    assign::GreedyResult slow = oracles::greedy_reference(ctx);
+    assign::SearchResult slow = oracles::greedy_reference(ctx);
     double reference_s = seconds_since(t0);
     t0 = Clock::now();
     assign::SearchResult fast = assign::searcher("greedy").search(ctx, options);
     double engine_s = seconds_since(t0);
 
-    if (fast.scalar != slow.final_scalar) {
+    if (fast.scalar != slow.scalar) {
       std::cout << "WARNING: engine/reference scalar mismatch on " << info.name << "\n";
     }
     rows.push_back({info.name, reference_s, engine_s, fast.evaluations});
@@ -341,11 +341,9 @@ void print_scaling_report() {
   auto ctx = ws->context();
   assign::SearchOptions budget_options;
   budget_options.max_states = kRateBudget;
-  assign::ExhaustiveOptions oracle_options;
-  oracle_options.max_states = kRateBudget;
 
   auto t0 = Clock::now();
-  assign::ExhaustiveResult reference = oracles::exhaustive_reference(ctx, oracle_options);
+  assign::SearchResult reference = oracles::exhaustive_reference(ctx, budget_options);
   double reference_s = seconds_since(t0);
   t0 = Clock::now();
   assign::SearchResult pruned = assign::searcher("bnb").search(ctx, budget_options);
@@ -359,7 +357,8 @@ void print_scaling_report() {
   std::cout << "branch-and-bound: " << pruned.states_explored << " states ("
             << pruned.bound_prunes << " bound prunes, " << pruned.capacity_prunes
             << " capacity prunes), " << core::Table::num(engine_s * 1e3, 2) << " ms, "
-            << (pruned.exhausted_budget ? "budget hit" : "search complete") << ", wall speedup vs scratch "
+            << (pruned.status == assign::SearchStatus::Optimal ? "search complete" : "budget hit")
+            << ", wall speedup vs scratch "
             << core::Table::num(reference_s / (engine_s > 0 ? engine_s : 1e-9), 1) << "x\n";
 
   auto medium_ws = core::make_workspace(apps::build_motion_estimation(),
@@ -373,7 +372,7 @@ void print_scaling_report() {
   std::cout << "branch-and-bound (motion_estimation, 46 placements, budget 200k): "
             << medium.states_explored << " states, " << medium.bound_prunes
             << " bound prunes, " << medium.capacity_prunes << " capacity prunes, "
-            << (medium.exhausted_budget ? "budget hit" : "complete") << ", "
+            << (medium.status == assign::SearchStatus::Optimal ? "complete" : "budget hit") << ", "
             << core::Table::num(medium_s * 1e3, 2) << " ms\n";
 
   // --- Parallel branch-and-bound: thread-count scaling on the guard-64
@@ -489,7 +488,7 @@ void BM_GreedyReference(benchmark::State& state) {
   auto ctx = ws->context();
   int evaluations = 0;
   for (auto _ : state) {
-    assign::GreedyResult result = oracles::greedy_reference(ctx);
+    assign::SearchResult result = oracles::greedy_reference(ctx);
     evaluations = result.evaluations;
     benchmark::DoNotOptimize(result);
   }
@@ -533,11 +532,11 @@ void run_exhaustive_bench(benchmark::State& state, const std::string& strategy,
 void BM_ExhaustiveReference(benchmark::State& state) {
   auto ws = core::make_workspace(rate_program(), rate_platform(), {});
   auto ctx = ws->context();
-  assign::ExhaustiveOptions options;
+  assign::SearchOptions options;
   options.max_states = kRateBudget;
   long states = 0;
   for (auto _ : state) {
-    assign::ExhaustiveResult result = oracles::exhaustive_reference(ctx, options);
+    assign::SearchResult result = oracles::exhaustive_reference(ctx, options);
     states = result.states_explored;
     benchmark::DoNotOptimize(result);
   }

@@ -7,7 +7,7 @@
 
 #include "bench_common.h"
 
-#include "assign/exhaustive.h"
+#include "assign/search.h"
 #include "ir/builder.h"
 
 namespace {
@@ -42,13 +42,13 @@ void print_tool_stats() {
   platform.l2_bytes = 0;
   auto ws = core::make_workspace(pb.finish(), platform, {});
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
-  assign::ExhaustiveResult oracle = assign::exhaustive_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult oracle = assign::exhaustive_assign(ctx);
   std::cout << "oracle check (small instance): greedy scalar = "
-            << core::Table::num(greedy.final_scalar, 4)
+            << core::Table::num(greedy.scalar, 4)
             << ", exhaustive scalar = " << core::Table::num(oracle.scalar, 4) << " over "
             << oracle.states_explored << " states — gap = "
-            << core::Table::num(100.0 * (greedy.final_scalar - oracle.scalar) /
+            << core::Table::num(100.0 * (greedy.scalar - oracle.scalar) /
                                     (oracle.scalar > 0 ? oracle.scalar : 1.0),
                                 2)
             << " %\n\n";

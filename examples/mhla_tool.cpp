@@ -127,7 +127,7 @@ int usage(const char* argv0) {
                "            4 run budget exhausted (degraded result), 5 I/O\n\n"
                "strategies:\n";
   for (const std::string& name : assign::searcher_names()) {
-    std::cerr << "  " << name << " — " << assign::searcher(name).description() << "\n";
+    std::cerr << "  " << name << " — " << assign::searcher(name).description << "\n";
   }
   std::cerr << "\napplications:\n";
   for (const apps::AppInfo& info : apps::all_apps()) {

@@ -1,5 +1,3 @@
-#include "assign/exhaustive.h"
-
 #include <algorithm>
 #include <functional>
 #include <limits>
@@ -13,7 +11,7 @@
 #include <cstdio>
 
 #include "assign/cost_engine.h"
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "core/run_budget.h"
 #include "core/work_stealing.h"
 #include "obs/trace.h"
@@ -58,18 +56,17 @@ constexpr long kCopyNodesPerProbe = 64;
 /// greedy fallback when it beats the incumbent, certify the gap against the
 /// global root lower bound, and verify the returned assignment is actually
 /// consumable.
-void finalize_anytime(ExhaustiveResult& result, const AssignContext& ctx, bool budget_hit,
-                      double lower_bound, const GreedyResult* fallback) {
-  result.exhausted_budget = budget_hit;
+void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budget_hit,
+                      double lower_bound, const SearchResult* fallback) {
   result.lower_bound = lower_bound;
   if (!budget_hit) {
     result.status = SearchStatus::Optimal;
     result.gap = 0.0;
     return;
   }
-  if (fallback && fallback->final_scalar < result.scalar) {
+  if (fallback && fallback->scalar < result.scalar) {
     result.assignment = fallback->assignment;
-    result.scalar = fallback->final_scalar;
+    result.scalar = fallback->scalar;
   }
   result.status = fits(ctx, result.assignment) && layering_valid(ctx, result.assignment)
                       ? SearchStatus::BudgetExhausted
@@ -94,7 +91,7 @@ void finalize_anytime(ExhaustiveResult& result, const AssignContext& ctx, bool b
 /// bound tables instead of rebuilding them per worker.
 struct EngineSearch {
   const AssignContext& ctx;
-  const ExhaustiveOptions& options;
+  const SearchOptions& options;
   CostEngine engine;
   Objective objective;
   Assignment best;
@@ -283,7 +280,7 @@ struct EngineSearch {
   };
   core::ArenaStack<SavedSite> saved_sites_;
 
-  EngineSearch(const AssignContext& c, const ExhaustiveOptions& o)
+  EngineSearch(const AssignContext& c, const SearchOptions& o)
       : ctx(c),
         options(o),
         engine(c),
@@ -768,24 +765,27 @@ struct EngineSearch {
 /// greedy result is kept as the anytime fallback: if the budget expires
 /// before the enumeration beats it, its assignment is the best answer.
 /// The seed search itself observes the run budget, so a cancelled run
-/// degrades all the way down.
-GreedyResult greedy_incumbent_seed(const AssignContext& ctx, const ExhaustiveOptions& options,
-                                   core::RunBudget* run_budget) {
-  GreedyOptions greedy;
+/// degrades all the way down.  It takes only the weights, the migration
+/// flag and the run token from the caller; every other greedy knob
+/// (`max_moves`) keeps its default, so the seed — and with it every bnb
+/// and bnb-par counter — does not depend on options bnb does not read.
+SearchResult greedy_incumbent_seed(const AssignContext& ctx, const SearchOptions& options,
+                                   core::RunBudget& run_budget) {
+  SearchOptions greedy;
   greedy.energy_weight = options.energy_weight;
   greedy.time_weight = options.time_weight;
   greedy.allow_array_migration = options.allow_array_migration;
-  greedy.shared_budget = run_budget;
+  greedy.shared_budget = &run_budget;
   return greedy_assign(ctx, greedy);
 }
 
-ExhaustiveResult exhaustive_engine(const AssignContext& ctx, const ExhaustiveOptions& options,
-                                   core::RunBudget* run_budget) {
+SearchResult exhaustive_engine(const AssignContext& ctx, const SearchOptions& options,
+                               core::RunBudget& run_budget) {
   EngineSearch search(ctx, options);
-  search.run_budget = run_budget;
+  search.run_budget = &run_budget;
   core::AtomicMin seed(search.best_scalar);
-  GreedyResult fallback = greedy_incumbent_seed(ctx, options, run_budget);
-  seed.update(fallback.final_scalar);
+  SearchResult fallback = greedy_incumbent_seed(ctx, options, run_budget);
+  seed.update(fallback.scalar);
   search.shared_incumbent = &seed;
   double root_lb = search.root_scalar_bound();
   {
@@ -793,7 +793,7 @@ ExhaustiveResult exhaustive_engine(const AssignContext& ctx, const ExhaustiveOpt
     search.run();
   }
 
-  ExhaustiveResult result;
+  SearchResult result;
   result.assignment = std::move(search.best);
   result.scalar = search.best_scalar;
   result.states_explored = search.states;
@@ -810,13 +810,13 @@ ExhaustiveResult exhaustive_engine(const AssignContext& ctx, const ExhaustiveOpt
 /// (scalar, canonical-path) reduction over the per-worker bests that
 /// returns exactly the serial `"bnb"` optimum for any thread count and any
 /// steal interleaving (see the ws-mode notes on `EngineSearch::pool`).
-ExhaustiveResult exhaustive_parallel_ws(const AssignContext& ctx, const ExhaustiveOptions& options,
-                                        unsigned threads, core::RunBudget* run_budget) {
+SearchResult exhaustive_parallel_ws(const AssignContext& ctx, const SearchOptions& options,
+                                    unsigned threads, core::RunBudget& run_budget) {
   EngineSearch prototype(ctx, options);
-  prototype.run_budget = run_budget;
+  prototype.run_budget = &run_budget;
   double root_lb = prototype.root_scalar_bound();
 
-  ExhaustiveResult result;
+  SearchResult result;
   result.assignment = prototype.best;
   result.scalar = prototype.best_scalar;
 
@@ -824,8 +824,8 @@ ExhaustiveResult exhaustive_parallel_ws(const AssignContext& ctx, const Exhausti
   // them never cuts an optimal state; the returned assignment always comes
   // from the enumeration (greedy substitutes only on a truncated run).
   core::AtomicMin incumbent(prototype.best_scalar);
-  GreedyResult fallback = greedy_incumbent_seed(ctx, options, run_budget);
-  incumbent.update(fallback.final_scalar);
+  SearchResult fallback = greedy_incumbent_seed(ctx, options, run_budget);
+  incumbent.update(fallback.scalar);
 
   core::WorkStealingPool pool(threads);
 
@@ -853,7 +853,7 @@ ExhaustiveResult exhaustive_parallel_ws(const AssignContext& ctx, const Exhausti
         workers[w]->run_task(prefix);
       };
   pool.spawn(0, [&run_subtree](unsigned w) { run_subtree(w, std::vector<int>{}); });
-  std::size_t skipped = pool.run(run_budget);
+  std::size_t skipped = pool.run(&run_budget);
 
   // (scalar, canonical path) reduction over the per-worker searches: the
   // smallest scalar wins and path order breaks ties exactly as serial DFS
@@ -895,34 +895,23 @@ void check_placement_guard(const AssignContext& ctx, bool anytime) {
       "for an anytime search");
 }
 
-/// Resolve the active budget token: the caller's shared token wins; else a
-/// local one is built from the spec.  A local token is created even for an
-/// unbounded spec so the fault injector's BudgetProbe site is always live.
-core::RunBudget* resolve_budget(const ExhaustiveOptions& options,
-                                std::optional<core::RunBudget>& local) {
-  if (options.shared_budget) return options.shared_budget;
-  local.emplace(options.budget);
-  return &*local;
-}
-
-bool has_bounded_budget(const ExhaustiveOptions& options) {
+bool has_bounded_budget(const SearchOptions& options) {
   return options.shared_budget != nullptr || options.budget.bounded();
 }
 
 }  // namespace
 
-ExhaustiveResult exhaustive_assign(const AssignContext& ctx, const ExhaustiveOptions& options) {
+SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& options) {
   check_placement_guard(ctx, has_bounded_budget(options));
   std::optional<core::RunBudget> local;
-  return exhaustive_engine(ctx, options, resolve_budget(options, local));
+  return exhaustive_engine(ctx, options, search_budget(options, local));
 }
 
-ExhaustiveResult exhaustive_parallel_assign(const AssignContext& ctx,
-                                            const ExhaustiveOptions& options) {
+SearchResult exhaustive_parallel_assign(const AssignContext& ctx, const SearchOptions& options) {
   check_placement_guard(ctx, has_bounded_budget(options));
   std::optional<core::RunBudget> local;
-  core::RunBudget* budget = resolve_budget(options, local);
-  unsigned threads = options.num_threads ? options.num_threads : core::default_parallelism();
+  core::RunBudget& budget = search_budget(options, local);
+  unsigned threads = options.bnb_threads ? options.bnb_threads : core::default_parallelism();
   // One worker is the serial search: the pool would replay the same DFS
   // with path bookkeeping and strict local pruning for no balance to gain.
   if (threads == 1) return exhaustive_engine(ctx, options, budget);

@@ -1,9 +1,8 @@
-#include "assign/greedy.h"
-
 #include <algorithm>
 #include <optional>
 
 #include "assign/cost_engine.h"
+#include "assign/search.h"
 #include "obs/trace.h"
 
 namespace mhla::assign {
@@ -15,9 +14,9 @@ namespace mhla::assign {
 /// materialized once on acceptance), the select-copy moves of each round
 /// are scored in one pass over the engine's contiguous term tables, and
 /// migrations and removals are applied, scored and undone one at a time.
-GreedyResult greedy_assign(const AssignContext& ctx, const GreedyOptions& options) {
+SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& options) {
   obs::Span span("greedy_walk", "search");
-  GreedyResult result;
+  SearchResult result;
 
   CostEngine engine(ctx);  // loads out_of_box
   Objective objective = make_objective(ctx, options.energy_weight, options.time_weight);
@@ -34,14 +33,10 @@ GreedyResult greedy_assign(const AssignContext& ctx, const GreedyOptions& option
   // the round before any move is applied: the result is always the exact
   // state after the last accepted move.
   std::optional<core::RunBudget> local_budget;
-  core::RunBudget* budget = options.shared_budget;
-  if (!budget) {
-    local_budget.emplace(options.budget);
-    budget = &*local_budget;
-  }
+  core::RunBudget& budget = search_budget(options, local_budget);
   bool cancelled = false;
   auto probe = [&]() {
-    if (!cancelled && !budget->probe()) cancelled = true;
+    if (!cancelled && !budget.probe()) cancelled = true;
     return !cancelled;
   };
 
@@ -184,7 +179,7 @@ GreedyResult greedy_assign(const AssignContext& ctx, const GreedyOptions& option
   }
 
   result.assignment = engine.assignment();
-  result.final_scalar = current_scalar;
+  result.scalar = current_scalar;
   result.status = cancelled ? SearchStatus::BudgetExhausted : SearchStatus::Feasible;
   return result;
 }

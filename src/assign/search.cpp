@@ -1,7 +1,5 @@
 #include "assign/search.h"
 
-#include <map>
-#include <sstream>
 #include <stdexcept>
 #include <tuple>
 
@@ -61,171 +59,41 @@ SearchStatus parse_search_status(const std::string& name) {
                               "' (optimal|feasible|budget_exhausted|infeasible)");
 }
 
+core::RunBudget& search_budget(const SearchOptions& options,
+                               std::optional<core::RunBudget>& local) {
+  if (options.shared_budget) return *options.shared_budget;
+  return local.emplace(options.budget);
+}
+
 namespace {
 
-/// Narrowing views of SearchOptions for the concrete implementations.
-GreedyOptions to_greedy_options(const SearchOptions& options) {
-  GreedyOptions greedy;
-  greedy.energy_weight = options.energy_weight;
-  greedy.time_weight = options.time_weight;
-  greedy.max_moves = options.max_moves;
-  greedy.allow_array_migration = options.allow_array_migration;
-  greedy.budget = options.budget;
-  greedy.shared_budget = options.shared_budget;
-  return greedy;
-}
-
-ExhaustiveOptions to_exhaustive_options(const SearchOptions& options) {
-  ExhaustiveOptions exhaustive;
-  exhaustive.energy_weight = options.energy_weight;
-  exhaustive.time_weight = options.time_weight;
-  exhaustive.max_states = options.max_states;
-  exhaustive.allow_array_migration = options.allow_array_migration;
-  exhaustive.num_threads = options.bnb_threads;
-  exhaustive.budget = options.budget;
-  exhaustive.shared_budget = options.shared_budget;
-  return exhaustive;
-}
-
-AnnealOptions to_anneal_options(const SearchOptions& options) {
-  AnnealOptions anneal;
-  anneal.energy_weight = options.energy_weight;
-  anneal.time_weight = options.time_weight;
-  anneal.iterations = options.anneal_iterations;
-  anneal.seed = options.anneal_seed;
-  anneal.initial_temp = options.anneal_initial_temp;
-  anneal.cooling = options.anneal_cooling;
-  anneal.allow_array_migration = options.allow_array_migration;
-  anneal.budget = options.budget;
-  anneal.shared_budget = options.shared_budget;
-  return anneal;
-}
-
-SearchResult from_greedy(GreedyResult greedy) {
-  SearchResult result;
-  result.assignment = std::move(greedy.assignment);
-  result.scalar = greedy.final_scalar;
-  result.moves = std::move(greedy.moves);
-  result.evaluations = greedy.evaluations;
-  result.status = greedy.status;
-  result.exhausted_budget = greedy.status == SearchStatus::BudgetExhausted;
-  return result;
-}
-
-SearchResult from_exhaustive(ExhaustiveResult exhaustive) {
-  SearchResult result;
-  result.assignment = std::move(exhaustive.assignment);
-  result.scalar = exhaustive.scalar;
-  result.states_explored = exhaustive.states_explored;
-  result.exhausted_budget = exhaustive.exhausted_budget;
-  result.bound_prunes = exhaustive.bound_prunes;
-  result.capacity_prunes = exhaustive.capacity_prunes;
-  result.status = exhaustive.status;
-  result.gap = exhaustive.gap;
-  result.lower_bound = exhaustive.lower_bound;
-  return result;
-}
-
-/// Greedy steering heuristic on the cost engine (MHLA step 1).
-class GreedySearcher final : public Searcher {
- public:
-  std::string name() const override { return "greedy"; }
-  std::string description() const override {
-    return "engine-backed greedy steering heuristic (MHLA step 1)";
-  }
-
-  SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
-    return from_greedy(greedy_assign(ctx, to_greedy_options(options)));
-  }
+/// The registry: a fixed table, sorted by name.
+constexpr Searcher kSearchers[] = {
+    {"anneal", "seeded simulated annealing over the cost-engine move set", anneal_assign},
+    {"bnb", "branch-and-bound exhaustive search (engine lower bound + capacity pruning)",
+     exhaustive_assign},
+    {"bnb-par",
+     "parallel branch-and-bound (work-stealing subtree tasks, shared incumbent; bit-identical to bnb)",
+     exhaustive_parallel_assign},
+    {"greedy", "engine-backed greedy steering heuristic (MHLA step 1)", greedy_assign},
 };
-
-/// Branch-and-bound exhaustive search, serial or parallel.
-class ExhaustiveSearcher final : public Searcher {
- public:
-  ExhaustiveSearcher(std::string name, std::string description, bool parallel)
-      : name_(std::move(name)), description_(std::move(description)), parallel_(parallel) {}
-
-  std::string name() const override { return name_; }
-  std::string description() const override { return description_; }
-
-  SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
-    ExhaustiveOptions exhaustive = to_exhaustive_options(options);
-    return from_exhaustive(parallel_ ? exhaustive_parallel_assign(ctx, exhaustive)
-                                     : exhaustive_assign(ctx, exhaustive));
-  }
-
- private:
-  std::string name_;
-  std::string description_;
-  bool parallel_;
-};
-
-/// Seeded simulated annealing (assign/anneal.h).  Stateless across calls:
-/// every walk re-seeds from the options, so one registered instance serves
-/// parallel sweeps and explorations deterministically.
-class AnnealSearcher final : public Searcher {
- public:
-  std::string name() const override { return "anneal"; }
-  std::string description() const override {
-    return "seeded simulated annealing over the cost-engine move set";
-  }
-
-  SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
-    AnnealResult anneal = anneal_assign(ctx, to_anneal_options(options));
-    SearchResult result;
-    result.assignment = std::move(anneal.assignment);
-    result.scalar = anneal.scalar;
-    result.evaluations = anneal.evaluations;
-    result.status = anneal.status;
-    result.exhausted_budget = anneal.status == SearchStatus::BudgetExhausted;
-    return result;
-  }
-};
-
-std::map<std::string, std::unique_ptr<Searcher>>& registry() {
-  static std::map<std::string, std::unique_ptr<Searcher>> searchers = [] {
-    std::map<std::string, std::unique_ptr<Searcher>> built_in;
-    auto add = [&](std::unique_ptr<Searcher> s) { built_in[s->name()] = std::move(s); };
-    add(std::make_unique<GreedySearcher>());
-    add(std::make_unique<ExhaustiveSearcher>(
-        "bnb", "branch-and-bound exhaustive search (engine lower bound + capacity pruning)",
-        false));
-    add(std::make_unique<ExhaustiveSearcher>(
-        "bnb-par",
-        "parallel branch-and-bound (work-stealing subtree tasks, shared incumbent; bit-identical to bnb)",
-        true));
-    add(std::make_unique<AnnealSearcher>());
-    return built_in;
-  }();
-  return searchers;
-}
 
 }  // namespace
 
 std::vector<std::string> searcher_names() {
   std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, _] : registry()) names.push_back(name);
-  return names;  // std::map iterates sorted
+  for (const Searcher& entry : kSearchers) names.emplace_back(entry.name);
+  return names;
 }
 
-const Searcher& searcher(const std::string& name) {
-  const auto& searchers = registry();
-  auto it = searchers.find(name);
-  if (it == searchers.end()) {
-    std::ostringstream message;
-    message << "unknown search strategy '" << name << "'; registered strategies:";
-    for (const auto& [known, _] : searchers) message << " " << known;
-    throw std::out_of_range(message.str());
+const Searcher& searcher(std::string_view name) {
+  for (const Searcher& entry : kSearchers) {
+    if (entry.name == name) return entry;
   }
-  return *it->second;
+  std::string message =
+      "unknown search strategy '" + std::string(name) + "'; registered strategies:";
+  for (const Searcher& entry : kSearchers) (message += ' ') += entry.name;
+  throw std::out_of_range(message);
 }
-
-void register_searcher(std::unique_ptr<Searcher> strategy) {
-  if (!strategy) throw std::invalid_argument("register_searcher: null strategy");
-  registry()[strategy->name()] = std::move(strategy);
-}
-
-bool unregister_searcher(const std::string& name) { return registry().erase(name) > 0; }
 
 }  // namespace mhla::assign

@@ -4,9 +4,8 @@
 
 namespace mhla::assign {
 
-/// Outcome contract of a search.  Lives in its own header so the engine
-/// headers (greedy/exhaustive/anneal) can name it without pulling in the
-/// registry from search.h.
+/// Outcome contract of a search.  Lives in its own header so the result
+/// cache can name it without pulling in the search API from search.h.
 ///
 ///  * Optimal — the search proved its answer optimal (exact engines that
 ///    ran to completion; gap is exactly 0).

@@ -204,13 +204,18 @@ std::string to_json(const std::string& app_name, const PipelineResult& result, i
   out << p0 << "{\n";
   out << p1 << "\"application\": \"" << json_escape(app_name) << "\",\n";
   out << p1 << "\"strategy\": \"" << json_escape(result.strategy) << "\",\n";
+  // "exhausted_budget" is derived from the status: a run the budget cut
+  // short, whatever stage it cut, is budget_exhausted or infeasible.
+  const assign::SearchStatus status = result.search.status;
+  const bool exhausted = status == assign::SearchStatus::BudgetExhausted ||
+                         status == assign::SearchStatus::Infeasible;
   out << p1 << "\"search\": {\"scalar\": " << num(result.search.scalar)
       << ", \"moves\": " << result.search.moves.size()
       << ", \"evaluations\": " << result.search.evaluations
       << ", \"states_explored\": " << result.search.states_explored
-      << ", \"status\": \"" << assign::to_string(result.search.status) << "\""
+      << ", \"status\": \"" << assign::to_string(status) << "\""
       << ", \"gap\": " << num(result.search.gap)
-      << ", \"exhausted_budget\": " << bool_text(result.search.exhausted_budget) << "},\n";
+      << ", \"exhausted_budget\": " << bool_text(exhausted) << "},\n";
   out << p1 << "\"timings\": [\n";
   for (std::size_t i = 0; i < result.timings.size(); ++i) {
     out << p2 << "{\"stage\": \"" << json_escape(result.timings[i].stage)

@@ -4,8 +4,7 @@
 
 #include <random>
 
-#include "assign/exhaustive.h"
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "helpers.h"
 #include "gen/random_program.h"
 #include "oracles/oracles.h"
@@ -226,10 +225,10 @@ TEST(CostEngine, GreedyEquivalenceOnRandomPrograms) {
   for (std::uint32_t seed = 1; seed <= 10; ++seed) {
     auto ws = make_ws(gen::random_program(seed));
     auto ctx = ws->context();
-    GreedyResult fast = greedy_assign(ctx);
-    GreedyResult slow = oracles::greedy_reference(ctx);
+    SearchResult fast = greedy_assign(ctx);
+    SearchResult slow = oracles::greedy_reference(ctx);
     EXPECT_EQ(fast.assignment, slow.assignment) << "seed " << seed;
-    EXPECT_EQ(fast.final_scalar, slow.final_scalar) << "seed " << seed;
+    EXPECT_EQ(fast.scalar, slow.scalar) << "seed " << seed;
     EXPECT_EQ(fast.evaluations, slow.evaluations) << "seed " << seed;
     ASSERT_EQ(fast.moves.size(), slow.moves.size()) << "seed " << seed;
     for (std::size_t i = 0; i < fast.moves.size(); ++i) {
@@ -256,9 +255,11 @@ TEST(CostEngine, ExhaustiveEquivalenceOnRandomPrograms) {
     std::size_t placements = ctx.reuse.candidates().size() *
                              static_cast<std::size_t>(ctx.hierarchy.background());
     if (placements > kReferencePlacementGuard) continue;
-    ExhaustiveResult pruned = exhaustive_assign(ctx);
-    ExhaustiveResult reference = oracles::exhaustive_reference(ctx);
-    if (pruned.exhausted_budget || reference.exhausted_budget) continue;
+    SearchResult pruned = exhaustive_assign(ctx);
+    SearchResult reference = oracles::exhaustive_reference(ctx);
+    if (pruned.status != SearchStatus::Optimal || reference.status != SearchStatus::Optimal) {
+      continue;
+    }
     EXPECT_EQ(pruned.assignment, reference.assignment) << "seed " << seed;
     EXPECT_EQ(pruned.scalar, reference.scalar) << "seed " << seed;
     EXPECT_LE(pruned.states_explored, reference.states_explored) << "seed " << seed;

@@ -1,11 +1,10 @@
-#include "assign/exhaustive.h"
+#include "assign/search.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 
-#include "assign/greedy.h"
 #include "core/driver.h"
 #include "gen/random_program.h"
 #include "helpers.h"
@@ -37,11 +36,11 @@ TEST(Exhaustive, FindsAtLeastAsGoodAsGreedy) {
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
 
-  ExhaustiveResult oracle = exhaustive_assign(ctx);
-  GreedyResult greedy = greedy_assign(ctx);
-  EXPECT_LE(oracle.scalar, greedy.final_scalar + 1e-9);
+  SearchResult oracle = exhaustive_assign(ctx);
+  SearchResult greedy = greedy_assign(ctx);
+  EXPECT_LE(oracle.scalar, greedy.scalar + 1e-9);
   EXPECT_GT(oracle.states_explored, 0);
-  EXPECT_FALSE(oracle.exhausted_budget);
+  EXPECT_EQ(oracle.status, SearchStatus::Optimal);
 }
 
 TEST(Exhaustive, BestIsFeasibleAndValid) {
@@ -50,7 +49,7 @@ TEST(Exhaustive, BestIsFeasibleAndValid) {
   platform.l2_bytes = 0;
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
-  ExhaustiveResult oracle = exhaustive_assign(ctx);
+  SearchResult oracle = exhaustive_assign(ctx);
   EXPECT_TRUE(fits(ctx, oracle.assignment));
   EXPECT_TRUE(layering_valid(ctx, oracle.assignment));
 }
@@ -61,7 +60,7 @@ TEST(Exhaustive, BeatsBaselineOnReuseProgram) {
   platform.l2_bytes = 0;
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
-  ExhaustiveResult oracle = exhaustive_assign(ctx);
+  SearchResult oracle = exhaustive_assign(ctx);
   Objective obj = make_objective(ctx, 1.0, 1.0);
   EXPECT_LT(oracle.scalar, obj.scalar(estimate_cost(ctx, out_of_box(ctx))));
 }
@@ -88,15 +87,15 @@ TEST(Exhaustive, BranchAndBoundAcceptsMediumInstance) {
   // the test fast while proving the search runs and returns a valid result.
   auto ws = make_ws(mhla::apps::build_motion_estimation());
   auto ctx = ws->context();
-  ExhaustiveOptions options;
+  SearchOptions options;
   options.max_states = 20000;
-  ExhaustiveResult result = exhaustive_assign(ctx, options);
+  SearchResult result = exhaustive_assign(ctx, options);
   EXPECT_GT(result.states_explored, 0);
   EXPECT_TRUE(fits(ctx, result.assignment));
   EXPECT_TRUE(layering_valid(ctx, result.assignment));
-  GreedyResult greedy = greedy_assign(ctx);
-  if (!result.exhausted_budget) {
-    EXPECT_LE(result.scalar, greedy.final_scalar + 1e-9);
+  SearchResult greedy = greedy_assign(ctx);
+  if (result.status == SearchStatus::Optimal) {
+    EXPECT_LE(result.scalar, greedy.scalar + 1e-9);
   }
 }
 
@@ -106,8 +105,8 @@ TEST(Exhaustive, EngineMatchesReferenceEnumeration) {
   platform.l2_bytes = 0;
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
-  ExhaustiveResult pruned = exhaustive_assign(ctx);
-  ExhaustiveResult reference = oracles::exhaustive_reference(ctx);
+  SearchResult pruned = exhaustive_assign(ctx);
+  SearchResult reference = oracles::exhaustive_reference(ctx);
   EXPECT_EQ(pruned.assignment, reference.assignment);
   EXPECT_EQ(pruned.scalar, reference.scalar);  // bit-identical
   EXPECT_LE(pruned.states_explored, reference.states_explored);
@@ -119,10 +118,10 @@ TEST(Exhaustive, StateBudgetIsHonored) {
   // program the seed alone can prune it down to two).
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  ExhaustiveOptions options;
+  SearchOptions options;
   options.max_states = 2;
-  ExhaustiveResult result = exhaustive_assign(ctx, options);
-  EXPECT_TRUE(result.exhausted_budget);
+  SearchResult result = exhaustive_assign(ctx, options);
+  EXPECT_NE(result.status, SearchStatus::Optimal);
   EXPECT_LE(result.states_explored, 3);
 }
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "assign/cost_engine.h"
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "gen/random_program.h"
 #include "helpers.h"
 #include "oracles/oracles.h"
@@ -227,7 +227,7 @@ TEST(FootprintTracker, TimeExtendEquivalenceOnRandomPrograms) {
     ASSERT_TRUE(ctx.dma.present);
 
     // TE extends the copies of a realistic assignment: take greedy's.
-    GreedyResult greedy = greedy_assign(ctx);
+    SearchResult greedy = greedy_assign(ctx);
     std::vector<te::BlockTransfer> bts = te::collect_block_transfers(ctx, greedy.assignment);
 
     te::TeResult fast = te::time_extend(ctx, greedy.assignment, bts);

@@ -52,24 +52,33 @@ TEST(Search, TargetNamesRoundTrip) {
   EXPECT_THROW(parse_target("speed"), std::invalid_argument);
 }
 
-TEST(Search, RegistryGreedyMatchesGreedyAssignWithTargetWeights) {
-  // The registry strategy and the engine entry point must share the one
-  // Target -> weights mapping: identical moves, evaluations, and result bits.
+TEST(Search, RegistryRowsRunTheirFunctionsBitForBit) {
+  // Each name's row is its function: the registry adds no conversion, so
+  // a lookup returns exactly what the direct call returns, for every
+  // target.  One bnb-par worker keeps its counters reproducible.
+  using SearchFn = SearchResult (*)(const AssignContext&, const SearchOptions&);
+  const std::pair<const char*, SearchFn> table[] = {
+      {"anneal", anneal_assign},
+      {"bnb", exhaustive_assign},
+      {"bnb-par", exhaustive_parallel_assign},
+      {"greedy", greedy_assign},
+  };
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  for (Target target : {Target::Energy, Target::Time, Target::Balanced}) {
-    GreedyOptions greedy;
-    std::tie(greedy.energy_weight, greedy.time_weight) = target_weights(target);
-    GreedyResult direct = greedy_assign(ctx, greedy);
-
-    SearchOptions options;
-    options.set_target(target);
-    SearchResult registry = searcher("greedy").search(ctx, options);
-
-    EXPECT_EQ(registry.assignment, direct.assignment);
-    EXPECT_EQ(registry.scalar, direct.final_scalar);
-    EXPECT_EQ(registry.evaluations, direct.evaluations);
-    EXPECT_EQ(registry.moves.size(), direct.moves.size());
+  for (const auto& [name, fn] : table) {
+    EXPECT_EQ(searcher(name).search, fn) << name;
+    for (Target target : {Target::Energy, Target::Time, Target::Balanced}) {
+      SearchOptions options;
+      options.set_target(target);
+      options.bnb_threads = 1;
+      SearchResult direct = fn(ctx, options);
+      SearchResult registry = searcher(name).search(ctx, options);
+      EXPECT_EQ(registry.assignment, direct.assignment) << name;
+      EXPECT_EQ(registry.scalar, direct.scalar) << name;
+      EXPECT_EQ(registry.evaluations, direct.evaluations) << name;
+      EXPECT_EQ(registry.states_explored, direct.states_explored) << name;
+      EXPECT_EQ(registry.status, direct.status) << name;
+    }
   }
 }
 
@@ -81,8 +90,8 @@ TEST(Search, AllRegisteredStrategiesRunOnAMicroInstance) {
   EXPECT_EQ(names, (std::vector<std::string>{"anneal", "bnb", "bnb-par", "greedy"}));
   for (const std::string& name : names) {
     const Searcher& strategy = searcher(name);
-    EXPECT_EQ(strategy.name(), name);
-    EXPECT_FALSE(strategy.description().empty());
+    EXPECT_EQ(strategy.name, name);
+    EXPECT_FALSE(strategy.description.empty());
     SearchResult result = strategy.search(ctx, {});
     EXPECT_TRUE(fits(ctx, result.assignment)) << name;
     EXPECT_TRUE(layering_valid(ctx, result.assignment)) << name;
@@ -93,7 +102,7 @@ TEST(Search, AllRegisteredStrategiesRunOnAMicroInstance) {
 TEST(Search, ExhaustiveVariantsAgreeOnTheOptimum) {
   auto ws = make_ws(micro_program(), micro_platform());
   auto ctx = ws->context();
-  ExhaustiveResult reference = oracles::exhaustive_reference(ctx);
+  SearchResult reference = oracles::exhaustive_reference(ctx);
   SearchResult bnb = searcher("bnb").search(ctx, {});
   SearchResult bnb_par = searcher("bnb-par").search(ctx, {});
   EXPECT_EQ(bnb.scalar, reference.scalar);
@@ -120,41 +129,6 @@ TEST(Search, UnknownNameThrowsListingTheRegistry) {
       EXPECT_NE(message.find(name), std::string::npos) << name;
     }
   }
-}
-
-TEST(Search, CustomStrategyCanBeRegistered) {
-  class Fixed final : public Searcher {
-   public:
-    std::string name() const override { return "test-fixed"; }
-    std::string description() const override { return "out-of-box, for the registry test"; }
-    SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
-      SearchResult result;
-      result.assignment = out_of_box(ctx);
-      Objective objective =
-          make_objective(ctx, options.energy_weight, options.time_weight);
-      result.scalar = objective.scalar(estimate_cost(ctx, result.assignment));
-      result.evaluations = 1;
-      return result;
-    }
-  };
-  // The registry is process-wide: the strategy leaves it when the block
-  // ends, however it ends, so later tests see only the built-ins.
-  const std::vector<std::string> built_in = searcher_names();
-  {
-    struct Registration {
-      Registration() { register_searcher(std::make_unique<Fixed>()); }
-      ~Registration() { unregister_searcher("test-fixed"); }
-    } registration;
-    auto ws = make_ws(micro_program(), micro_platform());
-    auto ctx = ws->context();
-    SearchResult result = searcher("test-fixed").search(ctx, {});
-    EXPECT_TRUE(result.assignment.copies.empty());
-    EXPECT_GT(result.scalar, 0.0);
-    std::vector<std::string> names = searcher_names();
-    EXPECT_NE(std::find(names.begin(), names.end(), "test-fixed"), names.end());
-  }
-  EXPECT_EQ(searcher_names(), built_in);
-  EXPECT_FALSE(unregister_searcher("test-fixed"));
 }
 
 }  // namespace

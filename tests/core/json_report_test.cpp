@@ -8,7 +8,9 @@
 #include <locale>
 #include <sstream>
 
-#include "assign/greedy.h"
+#include "assign/search.h"
+#include "core/json.h"
+#include "core/pipeline.h"
 #include "helpers.h"
 
 namespace mhla::core {
@@ -119,6 +121,31 @@ TEST(JsonReport, TradeoffPointsArray) {
 TEST(JsonReport, EmptyTradeoffArray) {
   std::string json = to_json(std::vector<xplore::TradeoffPoint>{});
   expect_balanced(json);
+}
+
+TEST(JsonReport, ExhaustedBudgetAgreesWithStatusWhenTimeExtensionRunsOut) {
+  // A probe allowance of exactly the search's own probes lets the search
+  // finish, then expires at the first probe of the time extension.  The
+  // run is budget-exhausted, though not in the search, and both report
+  // keys must say so.
+  const ir::Program program = apps::build_app("motion_estimation");
+  PipelineConfig config;
+  ASSERT_TRUE(config.dma.present);
+  const ProgramAnalysis analysis(program);
+  RunBudget search_only;  // unlimited: only counts
+  PipelineConfig cell = config;
+  cell.search.shared_budget = &search_only;
+  PipelineResult unbudgeted = evaluate_cell(analysis, cell, PointRequest::canonical(false));
+  ASSERT_EQ(unbudgeted.search.status, assign::SearchStatus::Feasible);
+  ASSERT_GT(search_only.probes(), 0);
+
+  config.search.budget.max_probes = search_only.probes();
+  PipelineResult run = Pipeline(config).run(analysis);
+  EXPECT_TRUE(run.points.mhla_te.budget_exhausted);
+  EXPECT_EQ(run.search.scalar, unbudgeted.search.scalar) << "the search itself must finish";
+  const Json search = Json::parse(to_json("motion_estimation", run)).at("search");
+  EXPECT_EQ(search.at("status").string(), "budget_exhausted");
+  EXPECT_TRUE(search.at("exhausted_budget").boolean());
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST(Pipeline, GreedyStrategyMatchesGreedyReferenceOnAllNineApps) {
 
     expect_same_points(result.points, reference.points, info.name);
     EXPECT_EQ(result.search.assignment, reference.step1.assignment) << info.name;
-    EXPECT_EQ(result.search.scalar, reference.step1.final_scalar) << info.name;
+    EXPECT_EQ(result.search.scalar, reference.step1.scalar) << info.name;
     EXPECT_EQ(result.search.evaluations, reference.step1.evaluations) << info.name;
   }
 }

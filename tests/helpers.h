@@ -83,7 +83,7 @@ inline std::unique_ptr<core::Workspace> make_ws(ir::Program program,
 /// `core::evaluate_cell`: the greedy search with `target`'s weights, then
 /// the four reference simulations of the workspace's platform.
 struct ReferenceRun {
-  assign::GreedyResult step1;
+  assign::SearchResult step1;
   sim::FourPoint points;
 };
 
@@ -91,7 +91,7 @@ inline ReferenceRun reference_run(const core::Workspace& ws,
                                   assign::Target target = assign::Target::Balanced,
                                   const te::TeOptions& te_options = {}) {
   assign::AssignContext ctx = ws.context();
-  assign::GreedyOptions greedy;
+  assign::SearchOptions greedy;
   std::tie(greedy.energy_weight, greedy.time_weight) = assign::target_weights(target);
   ReferenceRun run;
   run.step1 = assign::greedy_assign(ctx, greedy);

@@ -45,10 +45,10 @@ TEST_P(PerAppConsistency, TallyMatchesCostModelCounts) {
   }
 }
 
-TEST_P(PerAppConsistency, GreedyResultSurvivesResolveRoundtrip) {
+TEST_P(PerAppConsistency, GreedyAssignmentSurvivesResolveRoundtrip) {
   auto ws = core::make_workspace(GetParam().build(), {}, {});
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   EXPECT_TRUE(assign::layering_valid(ctx, greedy.assignment));
   EXPECT_TRUE(assign::fits(ctx, greedy.assignment));
 

@@ -55,9 +55,9 @@ std::size_t candidate_placements(const assign::AssignContext& ctx) {
 /// move and bit for bit, not merely the same final assignment.
 void expect_greedy_matches_oracle(const assign::AssignContext& ctx,
                                   const assign::SearchResult& greedy) {
-  assign::GreedyResult oracle = oracles::greedy_reference(ctx);
+  assign::SearchResult oracle = oracles::greedy_reference(ctx);
   EXPECT_EQ(greedy.assignment, oracle.assignment);
-  EXPECT_EQ(greedy.scalar, oracle.final_scalar);
+  EXPECT_EQ(greedy.scalar, oracle.scalar);
   EXPECT_EQ(greedy.evaluations, oracle.evaluations);
   ASSERT_EQ(greedy.moves.size(), oracle.moves.size());
   for (std::size_t i = 0; i < greedy.moves.size(); ++i) {
@@ -101,11 +101,12 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
     if (placements <= assign::kReferencePlacementGuard) {
       assign::SearchOptions exact = options;
       exact.max_states = 120000;
-      assign::ExhaustiveOptions oracle_options;
+      assign::SearchOptions oracle_options;
       oracle_options.max_states = exact.max_states;
-      assign::ExhaustiveResult reference = oracles::exhaustive_reference(ctx, oracle_options);
+      assign::SearchResult reference = oracles::exhaustive_reference(ctx, oracle_options);
       assign::SearchResult bnb = assign::searcher("bnb").search(ctx, exact);
-      if (!reference.exhausted_budget && !bnb.exhausted_budget) {
+      if (reference.status == assign::SearchStatus::Optimal &&
+          bnb.status == assign::SearchStatus::Optimal) {
         EXPECT_EQ(bnb.assignment, reference.assignment);
         EXPECT_EQ(bnb.scalar, reference.scalar);
         EXPECT_LE(bnb.states_explored, reference.states_explored);
@@ -122,7 +123,7 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
       assign::SearchOptions serial_options = options;
       serial_options.max_states = 300000;
       assign::SearchResult serial = assign::searcher("bnb").search(ctx, serial_options);
-      if (!serial.exhausted_budget) {
+      if (serial.status == assign::SearchStatus::Optimal) {
         if (!have_optimum) {
           have_optimum = true;
           optimum = serial;
@@ -135,7 +136,7 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
           // incumbent timing, so a worker can run out of budget even when
           // the serial search did not; bit-identity is only guaranteed
           // budget-free.
-          if (parallel.exhausted_budget) continue;
+          if (parallel.status != assign::SearchStatus::Optimal) continue;
           EXPECT_EQ(parallel.assignment, serial.assignment) << "threads " << threads;
           EXPECT_EQ(parallel.scalar, serial.scalar) << "threads " << threads;
           if (threads == 1) {
@@ -184,7 +185,7 @@ TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
     auto ctx = ws->context();
     assign::SearchOptions options;
     assign::SearchResult serial = assign::searcher("bnb").search(ctx, options);
-    ASSERT_FALSE(serial.exhausted_budget);
+    ASSERT_EQ(serial.status, assign::SearchStatus::Optimal);
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       assign::SearchOptions par_options = options;
@@ -192,7 +193,7 @@ TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
       assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, par_options);
       EXPECT_EQ(parallel.assignment, serial.assignment);
       EXPECT_EQ(parallel.scalar, serial.scalar);
-      EXPECT_FALSE(parallel.exhausted_budget);
+      EXPECT_EQ(parallel.status, assign::SearchStatus::Optimal);
       if (threads == 1) {
         EXPECT_EQ(parallel.states_explored, serial.states_explored);
         EXPECT_EQ(parallel.bound_prunes, serial.bound_prunes);

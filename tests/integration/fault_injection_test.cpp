@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "assign/cost.h"
-#include "assign/exhaustive.h"
 #include "assign/search.h"
 #include "core/fault_injector.h"
 #include "core/json_report.h"
@@ -171,20 +170,18 @@ TEST(FaultInjection, EveryStrategyDegradesOnInjectedExpiry) {
     core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
     assign::SearchResult result = assign::searcher(strategy).search(ctx, {});
     expect_degraded(result.status, result.assignment);
-    EXPECT_TRUE(result.exhausted_budget);
   }
   {
     SCOPED_TRACE("oracles::greedy_reference");
     core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
-    assign::GreedyResult result = oracles::greedy_reference(ctx);
+    assign::SearchResult result = oracles::greedy_reference(ctx);
     expect_degraded(result.status, result.assignment);
   }
   {
     SCOPED_TRACE("oracles::exhaustive_reference");
     core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
-    assign::ExhaustiveResult result = oracles::exhaustive_reference(ctx);
+    assign::SearchResult result = oracles::exhaustive_reference(ctx);
     expect_degraded(result.status, result.assignment);
-    EXPECT_TRUE(result.exhausted_budget);
   }
 }
 
@@ -290,11 +287,11 @@ TEST(CancellationConsistency, GreedyTruncatesToAReplayablePrefix) {
 
     // The from-scratch oracle truncates at the identical probe, so the
     // degraded result stays engine/oracle bit-identical too.
-    assign::GreedyOptions bounded_ref;
+    assign::SearchOptions bounded_ref;
     bounded_ref.budget = bounded.budget;
-    assign::GreedyResult truncated_ref = oracles::greedy_reference(ctx, bounded_ref);
+    assign::SearchResult truncated_ref = oracles::greedy_reference(ctx, bounded_ref);
     EXPECT_EQ(truncated_ref.assignment, truncated.assignment);
-    EXPECT_EQ(truncated_ref.final_scalar, truncated.scalar);
+    EXPECT_EQ(truncated_ref.scalar, truncated.scalar);
     EXPECT_EQ(truncated_ref.moves.size(), truncated.moves.size());
 
     // Determinism of the truncation point itself.
@@ -317,7 +314,7 @@ TEST(CancellationConsistency, BnbIncumbentMatchesAFreshEvaluation) {
 
     assign::SearchResult baseline;
     long total = probes_of_full_run(ctx, "bnb", {}, &baseline);
-    if (baseline.exhausted_budget || total < 2) continue;
+    if (baseline.status != assign::SearchStatus::Optimal || total < 2) continue;
     EXPECT_EQ(baseline.status, assign::SearchStatus::Optimal);
     EXPECT_EQ(baseline.gap, 0.0);
 
@@ -439,7 +436,6 @@ TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
   bounded.budget.max_probes = 20000;
   assign::SearchResult result = assign::searcher("bnb").search(ctx, bounded);
   EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
-  EXPECT_TRUE(result.exhausted_budget);
   EXPECT_TRUE(assign::fits(ctx, result.assignment));
   EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
   EXPECT_GT(result.scalar, 0.0);
@@ -470,7 +466,6 @@ TEST(Robustness, PipelineDeadlineDegradesInsteadOfFailing) {
   core::Pipeline pipeline(config);
   core::PipelineResult run = pipeline.run(apps::build_app("conv_filter"));
   EXPECT_EQ(run.search.status, assign::SearchStatus::BudgetExhausted);
-  EXPECT_TRUE(run.search.exhausted_budget);
   // The degraded run still produces the full four-point report.
   EXPECT_GT(run.points.out_of_box.total_cycles(), 0.0);
   EXPECT_GT(run.points.mhla_te.total_cycles(), 0.0);

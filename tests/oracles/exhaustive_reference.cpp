@@ -37,7 +37,7 @@ void for_each_feasible_home(const AssignContext& ctx, const ir::ArrayDecl& array
 /// beyond per-placement capacity.
 struct SearchState {
   const AssignContext& ctx;
-  const ExhaustiveOptions& options;
+  const SearchOptions& options;
   Objective objective;
   Assignment best;
   double best_scalar;
@@ -111,22 +111,21 @@ struct SearchState {
   }
 };
 
-ExhaustiveResult enumerate(const AssignContext& ctx, const ExhaustiveOptions& options,
-                           core::RunBudget* run_budget) {
+SearchResult enumerate(const AssignContext& ctx, const SearchOptions& options,
+                       core::RunBudget& run_budget) {
   SearchState state{ctx, options, make_objective(ctx, options.energy_weight, options.time_weight),
-                    out_of_box(ctx), 0.0, 0, false, run_budget};
+                    out_of_box(ctx), 0.0, 0, false, &run_budget};
   state.best_scalar = state.objective.scalar(estimate_cost(ctx, state.best));
 
   Assignment scratch = out_of_box(ctx);
   state.recurse_arrays(scratch, 0);
 
-  ExhaustiveResult result;
+  SearchResult result;
   result.assignment = std::move(state.best);
   result.scalar = state.best_scalar;
   result.states_explored = state.states;
   // The anytime contract without a bound: a completed run is Optimal, a
   // truncated one reports best-so-far with an unknown gap.
-  result.exhausted_budget = state.budget_hit;
   if (!state.budget_hit) {
     result.status = SearchStatus::Optimal;
     result.gap = 0.0;
@@ -141,7 +140,7 @@ ExhaustiveResult enumerate(const AssignContext& ctx, const ExhaustiveOptions& op
 
 }  // namespace
 
-ExhaustiveResult exhaustive_reference(const AssignContext& ctx, const ExhaustiveOptions& options) {
+SearchResult exhaustive_reference(const AssignContext& ctx, const SearchOptions& options) {
   std::size_t placements = ctx.reuse.candidates().size() *
                            static_cast<std::size_t>(std::max(ctx.hierarchy.background(), 1));
   if (placements > kReferencePlacementGuard) {
@@ -152,12 +151,7 @@ ExhaustiveResult exhaustive_reference(const AssignContext& ctx, const Exhaustive
   // A local token even for an unbounded spec, so the fault injector's
   // BudgetProbe site is live exactly as in the production search.
   std::optional<core::RunBudget> local;
-  core::RunBudget* budget = options.shared_budget;
-  if (!budget) {
-    local.emplace(options.budget);
-    budget = &*local;
-  }
-  return enumerate(ctx, options, budget);
+  return enumerate(ctx, options, search_budget(options, local));
 }
 
 }  // namespace mhla::oracles

@@ -35,8 +35,8 @@ i64 claimed_bytes(const AssignContext& ctx, const GreedyMove& move) {
 
 }  // namespace
 
-GreedyResult greedy_reference(const AssignContext& ctx, const GreedyOptions& options) {
-  GreedyResult result;
+SearchResult greedy_reference(const AssignContext& ctx, const SearchOptions& options) {
+  SearchResult result;
   result.assignment = out_of_box(ctx);
 
   Objective objective = make_objective(ctx, options.energy_weight, options.time_weight);
@@ -52,14 +52,10 @@ GreedyResult greedy_reference(const AssignContext& ctx, const GreedyOptions& opt
   // they charge probes at identical points and a bounded budget truncates
   // both at the same move.
   std::optional<core::RunBudget> local_budget;
-  core::RunBudget* budget = options.shared_budget;
-  if (!budget) {
-    local_budget.emplace(options.budget);
-    budget = &*local_budget;
-  }
+  core::RunBudget& budget = search_budget(options, local_budget);
   bool cancelled = false;
   auto probe = [&]() {
-    if (!cancelled && !budget->probe()) cancelled = true;
+    if (!cancelled && !budget.probe()) cancelled = true;
     return !cancelled;
   };
 
@@ -149,7 +145,7 @@ GreedyResult greedy_reference(const AssignContext& ctx, const GreedyOptions& opt
     result.moves.push_back(std::move(best->move));
   }
 
-  result.final_scalar = current_scalar;
+  result.scalar = current_scalar;
   result.status = cancelled ? SearchStatus::BudgetExhausted : SearchStatus::Feasible;
   return result;
 }

@@ -22,8 +22,7 @@
 
 #include "analysis/reuse.h"
 #include "analysis/sites.h"
-#include "assign/exhaustive.h"
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "ir/program.h"
 #include "te/extension.h"
 
@@ -33,8 +32,8 @@ namespace mhla::oracles {
 /// `estimate_cost`.  Enumerates, scores, tie-breaks and charges budget
 /// probes exactly as `assign::greedy_assign`, so the two agree move for
 /// move, bit for bit — also when a bounded budget truncates both.
-assign::GreedyResult greedy_reference(const assign::AssignContext& ctx,
-                                      const assign::GreedyOptions& options = {});
+assign::SearchResult greedy_reference(const assign::AssignContext& ctx,
+                                      const assign::SearchOptions& options = {});
 
 /// Un-pruned exhaustive enumeration in the canonical DFS order of
 /// `assign::exhaustive_assign`: same optimum (first of equals), at least
@@ -42,8 +41,8 @@ assign::GreedyResult greedy_reference(const assign::AssignContext& ctx,
 /// `allow_array_migration` and the run budget; one probe per evaluated
 /// state and per array-phase node.  Throws std::invalid_argument above
 /// `assign::kReferencePlacementGuard` placements, budget or not.
-assign::ExhaustiveResult exhaustive_reference(const assign::AssignContext& ctx,
-                                              const assign::ExhaustiveOptions& options = {});
+assign::SearchResult exhaustive_reference(const assign::AssignContext& ctx,
+                                          const assign::SearchOptions& options = {});
 
 /// Line-based program-text parser: `std::getline` into a vector of lines,
 /// an `std::istringstream` per line to split tokens, `std::stoll` for
