@@ -38,8 +38,8 @@ void BM_EnergyEvaluation(benchmark::State& state) {
   auto ctx = ws->context();
   assign::Assignment a = bench::greedy_step1(ctx).assignment;
   for (auto _ : state) {
-    sim::AccessTally tally = sim::tally_accesses(ctx, a);
-    benchmark::DoNotOptimize(sim::tally_energy_nj(ctx.hierarchy, tally));
+    sim::SimResult result = sim::simulate(ctx, a, {te::TransferMode::Blocking, {}});
+    benchmark::DoNotOptimize(result.energy_nj);
   }
   state.SetLabel(info.name);
 }

@@ -1,7 +1,12 @@
-// Search-engine scaling: how fast the MHLA step-1 searches run with the
+// Search-engine scaling: how fast the MHLA step-1 searches run on the
 // incremental CostEngine (apply/undo delta evaluation + branch-and-bound)
-// versus the from-scratch estimate_cost oracles of tests/oracles/, and how
-// the layer-size sweep scales across worker threads.
+// versus the from-scratch oracles of tests/oracles/, which score every
+// state with oracles::estimate_cost.  The report covers, in order: greedy
+// against oracles::greedy_reference on every app, tracker-backed fits()
+// against the from-scratch footprint rebuild, the batched-scoring data
+// layout and its steady-state allocation count, bnb against the un-pruned
+// oracles::exhaustive_reference, bnb-par thread scaling on a guard-64
+// instance, and the layer-size sweep serial against parallel.
 //
 // The reproduction block prints per-app wall-clock and evaluation-rate
 // comparisons plus a machine-readable JSON object; the google-benchmark

@@ -4,79 +4,38 @@
 
 namespace mhla::assign {
 
-/// Static cost estimate of an assignment (MHLA step 1 view: block transfers
-/// block the processor; time extensions are applied later).
-///
-/// The energy model counts memory-hierarchy accesses only, exactly like the
-/// paper ("in our models we only consider accesses to the memory
-/// hierarchy"), so time extensions never change the energy column.
-struct CostEstimate {
-  double energy_nj = 0.0;        ///< all processor accesses + copy traffic
-  double compute_cycles = 0.0;   ///< statement op cycles
-  double access_cycles = 0.0;    ///< processor load/store stall cycles
-  double transfer_cycles = 0.0;  ///< blocking block-transfer cycles
-  double total_cycles() const { return compute_cycles + access_cycles + transfer_cycles; }
-
-  /// Per-layer dynamic access counts (processor + copy traffic),
-  /// reads and writes separately.
-  std::vector<i64> layer_reads;
-  std::vector<i64> layer_writes;
-};
-
-/// Evaluate an assignment with the static model.  Independent of (and
-/// cross-checked against) the simulator in sim/.
-CostEstimate estimate_cost(const AssignContext& ctx, const Assignment& assignment);
-
-/// Same, but reusing a `Resolution` the caller already computed for
-/// `assignment`.  Callers that evaluate several views of one assignment
-/// (cost + per-nest cycles + per-loop cycles) resolve once and share it.
-CostEstimate estimate_cost(const AssignContext& ctx, const Assignment& assignment,
-                           const Resolution& res);
-
 /// Scalarization of (energy, time) used by the search heuristics.
 /// Weights are relative to the out-of-box baseline, so energy_weight = 1,
 /// time_weight = 1 values both objectives equally regardless of units.
+///
+/// The energy model counts memory-hierarchy accesses only, exactly like the
+/// paper ("in our models we only consider accesses to the memory
+/// hierarchy"), so time extensions never change the energy term.
 struct Objective {
   double energy_weight = 1.0;
   double time_weight = 0.0;
   double baseline_energy_nj = 1.0;
   double baseline_cycles = 1.0;
 
-  /// Scalarize raw (energy, cycles) totals.  `scalar()` delegates here so
-  /// the incremental CostEngine can score without materializing a full
-  /// CostEstimate; both paths share the exact same arithmetic.
+  /// Scalarize raw (energy, cycles) totals.
   double scalar_terms(double energy_nj, double total_cycles) const {
     double e = energy_nj / baseline_energy_nj;
     double t = total_cycles / baseline_cycles;
     return energy_weight * e + time_weight * t;
   }
-
-  double scalar(const CostEstimate& cost) const {
-    return scalar_terms(cost.energy_nj, cost.total_cycles());
-  }
 };
 
-/// Build an Objective normalized against the out-of-box baseline of `ctx`.
-Objective make_objective(const AssignContext& ctx, double energy_weight, double time_weight);
-
 /// CPU cycles (statement computation + processor access latency, *excluding*
-/// block-transfer stalls) spent in each top-level nest under `assignment`.
-/// This is the "hiding budget" the time extensions draw from.
-std::vector<double> nest_cpu_cycles(const AssignContext& ctx, const Assignment& assignment);
-
-/// Resolution-reusing variant: no internal `resolve()` call.
+/// block-transfer stalls) spent in each top-level nest under the resolved
+/// assignment `res`.  This is the "hiding budget" the time extensions draw
+/// from.
 std::vector<double> nest_cpu_cycles(const AssignContext& ctx, const Resolution& res);
 
 /// CPU cycles of a single iteration of `loop` (which must belong to nest
-/// `nest`), again excluding transfer stalls.  Used by TE's iteration
-/// lookahead: prefetching one carrying-loop iteration ahead can hide at most
-/// this many cycles per block transfer.
-double loop_iteration_cpu_cycles(const AssignContext& ctx, const Assignment& assignment, int nest,
-                                 const ir::LoopNode* loop);
-
-/// Resolution-reusing variant: no internal `resolve()` call.  TE's lookahead
-/// invokes this once per block transfer for one fixed assignment; resolving
-/// per call made it O(transfers x program).
+/// `nest`) under the resolved assignment `res`, again excluding transfer
+/// stalls.  Used by TE's iteration lookahead: prefetching one carrying-loop
+/// iteration ahead can hide at most this many cycles per block transfer.
+/// TE calls it once per block transfer for one fixed resolution.
 double loop_iteration_cpu_cycles(const AssignContext& ctx, const Resolution& res, int nest,
                                  const ir::LoopNode* loop);
 

@@ -38,7 +38,7 @@ CostEngine::CostEngine(const AssignContext& ctx)
   const std::size_t L = static_cast<std::size_t>(num_layers_);
 
   // Assignment-independent compute cycles: one IR walk, accumulated exactly
-  // like estimate_cost so the cached value is bit-identical.
+  // like the from-scratch reference so the cached value is bit-identical.
   ir::walk_statements(ctx_.program,
                       [&](int /*nest*/, const ir::LoopPath& path, const ir::StmtNode& stmt) {
                         compute_cycles_ += static_cast<double>(ir::iterations_of(path)) *
@@ -49,7 +49,6 @@ CostEngine::CostEngine(const AssignContext& ctx)
   const auto& arrays = ctx_.program.arrays();
   array_input_.resize(arrays.size());
   array_output_.resize(arrays.size());
-  array_elems_.resize(arrays.size());
   pin_fill_energy_.assign(arrays.size() * L, 0.0);
   pin_fill_cycles_.assign(arrays.size() * L, 0.0);
   pin_flush_energy_.assign(arrays.size() * L, 0.0);
@@ -60,7 +59,6 @@ CostEngine::CostEngine(const AssignContext& ctx)
     array_index_.emplace(arrays[a].name, a);
     array_input_[a] = arrays[a].is_input;
     array_output_[a] = arrays[a].is_output;
-    array_elems_[a] = arrays[a].elems();
     double elems = static_cast<double>(arrays[a].elems());
     for (int home = 0; home < background_; ++home) {
       const mem::MemLayer& hl = ctx_.hierarchy.layer(home);
@@ -75,7 +73,6 @@ CostEngine::CostEngine(const AssignContext& ctx)
   // Per-site terms for every possible serving layer.
   const std::size_t S = ctx_.sites.size();
   site_n_.resize(S);
-  site_write_.resize(S);
   site_array_.resize(S);
   site_energy_.assign(S * L, 0.0);
   site_cycles_.assign(S * L, 0.0);
@@ -85,7 +82,6 @@ CostEngine::CostEngine(const AssignContext& ctx)
     i64 n = site.dynamic_accesses();
     bool is_write = site.is_write();
     site_n_[s] = n;
-    site_write_[s] = is_write;
     site_array_[s] = array_index(site.access->array);
     for (int l = 0; l < num_layers_; ++l) {
       const mem::MemLayer& layer = ctx_.hierarchy.layer(l);
@@ -104,7 +100,6 @@ CostEngine::CostEngine(const AssignContext& ctx)
   cc_level_.resize(C);
   cc_fill_free_.resize(C);
   cc_write_back_.resize(C);
-  cc_elems_moved_.resize(C);
   cc_array_.resize(C);
   std::vector<std::vector<int>> cc_sites(C);
   std::vector<std::vector<int>> cc_ancestors(C);
@@ -116,9 +111,8 @@ CostEngine::CostEngine(const AssignContext& ctx)
     cc_level_[c] = cc.level;
     cc_fill_free_[c] = cc.fill_free;
     cc_write_back_[c] = cc.has_writes();
-    cc_elems_moved_[c] = cc.transfers * cc.elems_per_transfer;
     cc_array_[c] = array_index(cc.array);
-    double fills = static_cast<double>(cc_elems_moved_[c]);
+    double fills = static_cast<double>(cc.transfers * cc.elems_per_transfer);
     for (int src = 0; src < num_layers_; ++src) {
       const mem::MemLayer& sl = ctx_.hierarchy.layer(src);
       for (int dst = 0; dst < num_layers_; ++dst) {
@@ -405,9 +399,10 @@ bool CostEngine::layering_valid() const {
 }
 
 CostEngine::Totals CostEngine::totals() const {
-  // Accumulation mirrors estimate_cost term by term and in the same order:
-  // sites in id order, transfers in copy-selection order, pinned arrays in
-  // declaration order.  Identical doubles in, identical order, identical out.
+  // Accumulation mirrors the from-scratch reference term by term and in the
+  // same order: sites in id order, transfers in copy-selection order,
+  // pinned arrays in declaration order.  Identical doubles in, identical
+  // order, identical out.
   Totals t;
   t.compute_cycles = compute_cycles_;
   const std::size_t L = static_cast<std::size_t>(num_layers_);
@@ -581,55 +576,6 @@ void CostEngine::score_select_candidates(const Objective& objective, const int* 
   }
 }
 
-CostEstimate CostEngine::cost() const {
-  CostEstimate cost;
-  cost.layer_reads.assign(static_cast<std::size_t>(num_layers_), 0);
-  cost.layer_writes.assign(static_cast<std::size_t>(num_layers_), 0);
-
-  Totals t = totals();
-  cost.energy_nj = t.energy_nj;
-  cost.compute_cycles = t.compute_cycles;
-  cost.access_cycles = t.access_cycles;
-  cost.transfer_cycles = t.transfer_cycles;
-
-  for (std::size_t s = 0; s < site_n_.size(); ++s) {
-    std::size_t l = static_cast<std::size_t>(serving_layer(s));
-    if (site_write_[s]) {
-      cost.layer_writes[l] += site_n_[s];
-    } else {
-      cost.layer_reads[l] += site_n_[s];
-    }
-  }
-  for (const PlacedCopy& pc : assignment_.copies) {
-    std::size_t c = static_cast<std::size_t>(pc.cc_id);
-    std::size_t src = static_cast<std::size_t>(parent_layer(pc.cc_id));
-    std::size_t dst = static_cast<std::size_t>(pc.layer);
-    if (!cc_fill_free_[c]) {
-      cost.layer_reads[src] += cc_elems_moved_[c];
-      cost.layer_writes[dst] += cc_elems_moved_[c];
-    }
-    if (cc_write_back_[c]) {
-      cost.layer_reads[dst] += cc_elems_moved_[c];
-      cost.layer_writes[src] += cc_elems_moved_[c];
-    }
-  }
-  std::size_t bg = static_cast<std::size_t>(background_);
-  for (std::size_t a = 0; a < array_names_.size(); ++a) {
-    int home = home_[a];
-    if (home == background_) continue;
-    std::size_t h = static_cast<std::size_t>(home);
-    if (array_input_[a]) {
-      cost.layer_reads[bg] += array_elems_[a];
-      cost.layer_writes[h] += array_elems_[a];
-    }
-    if (array_output_[a]) {
-      cost.layer_reads[h] += array_elems_[a];
-      cost.layer_writes[bg] += array_elems_[a];
-    }
-  }
-  return cost;
-}
-
 double CostEngine::cc_energy_term(int cc_id, int src, int dst) const {
   std::size_t c = static_cast<std::size_t>(cc_id);
   std::size_t idx = table_index(cc_id, src, dst);
@@ -684,6 +630,16 @@ std::pair<double, double> CostEngine::pinned_totals() const {
     }
   }
   return {energy, cycles};
+}
+
+Objective make_objective(const CostEngine& engine, double energy_weight, double time_weight) {
+  CostEngine::Totals baseline = engine.totals();
+  Objective obj;
+  obj.energy_weight = energy_weight;
+  obj.time_weight = time_weight;
+  obj.baseline_energy_nj = baseline.energy_nj > 0 ? baseline.energy_nj : 1.0;
+  obj.baseline_cycles = baseline.total_cycles() > 0 ? baseline.total_cycles() : 1.0;
+  return obj;
 }
 
 }  // namespace mhla::assign

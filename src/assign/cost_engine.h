@@ -15,11 +15,11 @@ namespace mhla::assign {
 
 /// Incremental cost evaluator for the MHLA searches.
 ///
-/// `estimate_cost()` pays a full `resolve()` (O(sites x copies) with string
-/// map lookups), a complete IR statement walk for the assignment-independent
-/// compute cycles, and a pass over every access site — for *every* candidate
-/// state a search scores.  The engine precomputes every assignment-independent
-/// term once per `AssignContext`:
+/// A from-scratch evaluation pays a full `resolve()` (O(sites x copies) with
+/// string map lookups), a complete IR statement walk for the
+/// assignment-independent compute cycles, and a pass over every access site
+/// — for *every* candidate state a search scores.  The engine precomputes
+/// every assignment-independent term once per `AssignContext`:
 ///
 ///  * total compute cycles (one IR walk at construction),
 ///  * per-site access counts and the energy/latency term for every possible
@@ -48,16 +48,17 @@ namespace mhla::assign {
 ///
 /// ## Exactness contract
 ///
-/// `cost()` / `totals()` / `scalar()` are **bit-identical** to
-/// `estimate_cost(ctx, assignment())` (and `Objective::scalar` of it): the
-/// engine caches the very term values the from-scratch path computes and
-/// re-accumulates them in the same canonical order (sites in id order, then
-/// transfers in copy-selection order, then pinned arrays in declaration
-/// order).  Floating-point summation order is part of the contract; searches
-/// built on the engine make exactly the decisions the from-scratch searches
-/// make.  The scalar read is O(sites + copies) cached additions; the
-/// expensive parts (resolution, model lookups, IR walks, allocation) are
-/// all precomputed or maintained incrementally.
+/// `totals()` / `scalar()` are **bit-identical** to `oracles::estimate_cost`
+/// (tests/oracles/), the from-scratch reference that `sim::simulate` must
+/// also match, evaluated on `assignment()` (and to `oracles::scalar` of
+/// it): the engine caches the very term values the from-scratch path
+/// computes and re-accumulates them in the same canonical order (sites in
+/// id order, then transfers in copy-selection order, then pinned arrays in
+/// declaration order).  Floating-point summation order is part of the
+/// contract; searches built on the engine make exactly the decisions the
+/// from-scratch searches make.  The scalar read is O(sites + copies) cached
+/// additions; the expensive parts (resolution, model lookups, IR walks,
+/// allocation) are all precomputed or maintained incrementally.
 ///
 /// The engine's assignment must not hold duplicate copy-candidate entries
 /// (`load` throws std::invalid_argument; searches never create duplicates).
@@ -151,8 +152,8 @@ class CostEngine {
   const FootprintTracker& footprint() const { return footprint_; }
 
   // --------------------------------------------------------- evaluation
-  /// The scalar-relevant accumulators of a CostEstimate, without the
-  /// per-layer access-count vectors (no allocation on the hot path).
+  /// The scalar-relevant accumulators of an evaluation (no allocation on
+  /// the hot path).
   struct Totals {
     double energy_nj = 0.0;
     double compute_cycles = 0.0;
@@ -161,13 +162,11 @@ class CostEngine {
     double total_cycles() const { return compute_cycles + access_cycles + transfer_cycles; }
   };
 
-  /// Bit-identical to the double fields of `estimate_cost(ctx, assignment())`.
+  /// Bit-identical to the double fields of the reference estimate of
+  /// `assignment()` (see the exactness contract above).
   Totals totals() const;
 
-  /// Bit-identical to `estimate_cost(ctx, assignment())`, counts included.
-  CostEstimate cost() const;
-
-  /// Bit-identical to `objective.scalar(estimate_cost(ctx, assignment()))`.
+  /// Bit-identical to `objective.scalar_terms` of `totals()`.
   double scalar(const Objective& objective) const {
     Totals t = totals();
     return objective.scalar_terms(t.energy_nj, t.total_cycles());
@@ -296,7 +295,6 @@ class CostEngine {
   // ---- assignment-independent precomputation
   double compute_cycles_ = 0.0;
   std::vector<i64> site_n_;            ///< dynamic accesses per site
-  std::vector<bool> site_write_;
   std::vector<std::size_t> site_array_;  ///< site -> array index
   std::vector<double> site_energy_;    ///< [site][layer]
   std::vector<double> site_cycles_;    ///< [site][layer]
@@ -305,7 +303,6 @@ class CostEngine {
   std::vector<int> cc_level_;
   std::vector<bool> cc_fill_free_;
   std::vector<bool> cc_write_back_;
-  std::vector<i64> cc_elems_moved_;
   std::vector<int> cc_sites_items_;          ///< cc -> member site ids (CSR)
   std::vector<std::size_t> cc_sites_off_;    ///< size candidates + 1
   std::vector<int> cc_anc_items_;            ///< cc -> ancestor ids, level desc (CSR)
@@ -320,7 +317,6 @@ class CostEngine {
   std::map<std::string, std::size_t> array_index_;  ///< setup-time interning only
   std::vector<bool> array_input_;
   std::vector<bool> array_output_;
-  std::vector<i64> array_elems_;
   std::vector<double> pin_fill_energy_;   ///< [array][home]
   std::vector<double> pin_fill_cycles_;   ///< [array][home]
   std::vector<double> pin_flush_energy_;  ///< [array][home]
@@ -352,5 +348,12 @@ class CostEngine {
   mutable std::vector<double> scr_pin_e_;         ///< active pinned terms, declaration order
   mutable std::vector<double> scr_pin_c_;
 };
+
+/// The search objective with `energy_weight` and `time_weight`, normalized
+/// against `engine`'s live totals.  A freshly constructed engine holds the
+/// out-of-box assignment, so the searches call this right after
+/// construction and get the out-of-box baseline without a second
+/// evaluation.
+Objective make_objective(const CostEngine& engine, double energy_weight, double time_weight);
 
 }  // namespace mhla::assign

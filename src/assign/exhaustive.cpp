@@ -284,7 +284,7 @@ struct EngineSearch {
       : ctx(c),
         options(o),
         engine(c),
-        objective(make_objective(c, o.energy_weight, o.time_weight)) {
+        objective(make_objective(engine, o.energy_weight, o.time_weight)) {
     best_scalar = engine.scalar(objective);
     best = engine.assignment();
     precompute_bounds();

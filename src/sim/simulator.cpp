@@ -12,6 +12,13 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
   assign::Resolution res = assign::resolve(ctx, assignment);
   result.nest_cycles.assign(ctx.program.top().size(), 0.0);
 
+  // Dynamic reads and writes per layer: processor traffic plus copy traffic.
+  std::vector<ir::i64> reads(static_cast<std::size_t>(ctx.hierarchy.num_layers()), 0);
+  std::vector<ir::i64> writes(reads.size(), 0);
+  auto count = [&](int layer, bool is_write, ir::i64 n) {
+    (is_write ? writes : reads)[static_cast<std::size_t>(layer)] += n;
+  };
+
   // --- Processor side: walk the nests, serve accesses from resolved layers.
   ir::walk_statements(ctx.program,
                       [&](int nest, const ir::LoopPath& path, const ir::StmtNode& stmt) {
@@ -27,6 +34,22 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
                     layer.access_latency(site.is_write());
     result.access_cycles += cycles;
     result.nest_cycles[static_cast<std::size_t>(site.nest)] += cycles;
+    count(layer_idx, site.is_write(), site.dynamic_accesses());
+  }
+
+  // Copy traffic: every transferred element is one read at the source layer
+  // and one write at the destination; dirty copies flush back.
+  for (const assign::TransferEdge& edge : res.transfers) {
+    const analysis::CopyCandidate& cc = ctx.reuse.candidate(edge.cc_id);
+    ir::i64 moved = cc.transfers * cc.elems_per_transfer;
+    if (!cc.fill_free) {
+      count(edge.src_layer, false, moved);
+      count(edge.dst_layer, true, moved);
+    }
+    if (edge.write_back) {
+      count(edge.dst_layer, false, moved);
+      count(edge.src_layer, true, moved);
+    }
   }
 
   // --- Transfer side.
@@ -65,37 +88,40 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
 
   // One-time fills/flushes of pinned on-chip inputs/outputs block the
   // processor (program startup / shutdown); in the ideal zero-wait bar
-  // they are hidden like every other transfer.
+  // they are hidden like every other transfer.  Each element is one read
+  // at the source and one write at the destination.
+  const int background = ctx.hierarchy.background();
   for (const assign::PinnedTraffic& pinned : assign::pinned_array_traffic(ctx, assignment)) {
-    const mem::MemLayer& home = ctx.hierarchy.layer(pinned.home);
-    const mem::MemLayer& bg = ctx.hierarchy.layer(ctx.hierarchy.background());
-    double cycles = mem::blocking_transfer_cycles(pinned.array->bytes(),
-                                                  pinned.fill ? bg : home,
-                                                  pinned.fill ? home : bg, ctx.dma);
+    int src = pinned.fill ? background : pinned.home;
+    int dst = pinned.fill ? pinned.home : background;
+    double cycles = mem::blocking_transfer_cycles(pinned.array->bytes(), ctx.hierarchy.layer(src),
+                                                  ctx.hierarchy.layer(dst), ctx.dma);
     result.dma_busy_cycles += cycles;
     if (options.mode != te::TransferMode::Ideal) result.stall_cycles += cycles;
+    count(src, false, pinned.array->elems());
+    count(dst, true, pinned.array->elems());
   }
 
-  // --- Energy (mode independent, exactly like the paper's model).
-  AccessTally tally = tally_accesses(ctx, assignment);
-  result.energy_nj = tally_energy_nj(ctx.hierarchy, tally);
-  result.layers = layer_stats(ctx.hierarchy, tally);
+  // --- Energy (mode independent, exactly like the paper's model), summed
+  // layer by layer, reads before writes.
+  for (int l = 0; l < ctx.hierarchy.num_layers(); ++l) {
+    const mem::MemLayer& layer = ctx.hierarchy.layer(l);
+    LayerStats stats;
+    stats.name = layer.name;
+    stats.reads = reads[static_cast<std::size_t>(l)];
+    stats.writes = writes[static_cast<std::size_t>(l)];
+    double read_nj = static_cast<double>(stats.reads) * layer.read_energy_nj;
+    double write_nj = static_cast<double>(stats.writes) * layer.write_energy_nj;
+    result.energy_nj += read_nj;
+    result.energy_nj += write_nj;
+    stats.energy_nj = read_nj + write_nj;
+    result.layers.push_back(std::move(stats));
+  }
 
   // --- Capacity audit including TE lifetime growth.
   result.footprints = assign::compute_footprints(ctx, assignment, extensions);
   result.feasible = result.footprints.feasible;
   return result;
-}
-
-FourPoint simulate_four_points(const assign::AssignContext& ctx,
-                               const assign::Assignment& step1,
-                               const te::TeOptions& te_options) {
-  FourPoint fp;
-  fp.out_of_box = simulate(ctx, assign::out_of_box(ctx), {te::TransferMode::Blocking, {}});
-  fp.mhla = simulate(ctx, step1, {te::TransferMode::Blocking, {}});
-  fp.mhla_te = simulate(ctx, step1, {te::TransferMode::TimeExtended, te_options});
-  fp.ideal = simulate(ctx, step1, {te::TransferMode::Ideal, {}});
-  return fp;
 }
 
 }  // namespace mhla::sim

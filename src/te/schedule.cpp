@@ -33,11 +33,8 @@ double total_stall_cycles(const std::vector<BlockTransfer>& bts, TransferMode mo
     stall += bt_stall_cycles(bt, mode, ext);
     if (bt.write_back && mode != TransferMode::Ideal) {
       // Flushes cannot be prefetched; they block symmetrically to the fill.
+      // The ideal bar of the paper hides *all* transfer time, flushes too.
       stall += bt.total_cycles();
-    }
-    if (bt.write_back && mode == TransferMode::Ideal) {
-      // The ideal bar of the paper hides *all* transfer time.
-      stall += 0.0;
     }
   }
   return stall;

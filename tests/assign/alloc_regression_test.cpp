@@ -47,7 +47,7 @@ TEST(AllocRegression, CostEngineSteadyStateMovesAreAllocationFree) {
   auto ws = testing::make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   assign::CostEngine engine(ctx);
-  assign::Objective objective = assign::make_objective(ctx, 1.0, 1.0);
+  assign::Objective objective = assign::make_objective(engine, 1.0, 1.0);
 
   auto [cc_id, cc_layer] = find_placement(engine, ctx);
   ASSERT_GE(cc_id, 0) << "fixture program must admit at least one placement";
@@ -84,7 +84,7 @@ TEST(AllocRegression, BatchedScoringIsAllocationFree) {
   auto ws = testing::make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   assign::CostEngine engine(ctx);
-  assign::Objective objective = assign::make_objective(ctx, 1.0, 1.0);
+  assign::Objective objective = assign::make_objective(engine, 1.0, 1.0);
 
   // Slot buffers sized outside the sampled region, exactly like the greedy
   // round loop reserves its slot vectors up front.

@@ -6,6 +6,7 @@
 #include "core/pipeline.h"
 #include "explore/sweep.h"
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla::assign {
 namespace {
@@ -25,8 +26,8 @@ TEST(Anneal, BitIdenticalForAFixedSeed) {
 TEST(Anneal, FeasibleAndNeverWorseThanOutOfBox) {
   auto ws = testing::make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  Objective objective = make_objective(ctx, 1.0, 1.0);
-  double baseline = objective.scalar(estimate_cost(ctx, out_of_box(ctx)));
+  Objective objective = oracles::make_objective(ctx, 1.0, 1.0);
+  double baseline = oracles::scalar(objective, oracles::estimate_cost(ctx, out_of_box(ctx)));
   for (std::uint32_t seed : {1u, 7u, 1234u}) {
     SearchOptions options;
     options.anneal_seed = seed;
@@ -34,7 +35,8 @@ TEST(Anneal, FeasibleAndNeverWorseThanOutOfBox) {
     EXPECT_TRUE(fits(ctx, result.assignment)) << "seed " << seed;
     EXPECT_TRUE(layering_valid(ctx, result.assignment)) << "seed " << seed;
     EXPECT_LE(result.scalar, baseline) << "seed " << seed;
-    EXPECT_EQ(objective.scalar(estimate_cost(ctx, result.assignment)), result.scalar)
+    EXPECT_EQ(oracles::scalar(objective, oracles::estimate_cost(ctx, result.assignment)),
+              result.scalar)
         << "seed " << seed;
   }
 }
@@ -44,8 +46,8 @@ TEST(Anneal, FindsImprovementsOnAReuseWorkload) {
   // that never finds *any* improvement would be broken.
   auto ws = testing::make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  Objective objective = make_objective(ctx, 1.0, 1.0);
-  double baseline = objective.scalar(estimate_cost(ctx, out_of_box(ctx)));
+  Objective objective = oracles::make_objective(ctx, 1.0, 1.0);
+  double baseline = oracles::scalar(objective, oracles::estimate_cost(ctx, out_of_box(ctx)));
   SearchResult result = anneal_assign(ctx, {});
   EXPECT_LT(result.scalar, baseline);
 }

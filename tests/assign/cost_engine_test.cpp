@@ -15,19 +15,18 @@ namespace {
 using testing::make_ws;
 
 /// Exact (bitwise) agreement between the engine's evaluation of its live
-/// assignment and a from-scratch estimate_cost of the same assignment.
+/// assignment and the from-scratch oracles::estimate_cost of the same
+/// assignment.
 void expect_engine_matches_scratch(const AssignContext& ctx, const CostEngine& engine) {
-  CostEstimate scratch = estimate_cost(ctx, engine.assignment());
-  CostEstimate incremental = engine.cost();
+  oracles::CostEstimate scratch = oracles::estimate_cost(ctx, engine.assignment());
+  CostEngine::Totals incremental = engine.totals();
   EXPECT_EQ(incremental.energy_nj, scratch.energy_nj);
   EXPECT_EQ(incremental.compute_cycles, scratch.compute_cycles);
   EXPECT_EQ(incremental.access_cycles, scratch.access_cycles);
   EXPECT_EQ(incremental.transfer_cycles, scratch.transfer_cycles);
-  EXPECT_EQ(incremental.layer_reads, scratch.layer_reads);
-  EXPECT_EQ(incremental.layer_writes, scratch.layer_writes);
 
-  Objective objective = make_objective(ctx, 1.0, 1.0);
-  EXPECT_EQ(engine.scalar(objective), objective.scalar(scratch));
+  Objective objective = oracles::make_objective(ctx, 1.0, 1.0);
+  EXPECT_EQ(engine.scalar(objective), oracles::scalar(objective, scratch));
 
   // The maintained resolution must equal a fresh resolve.
   Resolution res = resolve(ctx, engine.assignment());
@@ -150,7 +149,8 @@ TEST(CostEngine, BatchedScoresMatchApplyUndo) {
     auto ws = make_ws(gen::random_program(seed), platform);
     auto ctx = ws->context();
     CostEngine engine(ctx);
-    Objective objective = make_objective(ctx, seed % 4 == 1 ? 0.0 : 1.0, seed % 4 == 2 ? 0.0 : 1.0);
+    Objective objective =
+        make_objective(engine, seed % 4 == 1 ? 0.0 : 1.0, seed % 4 == 2 ? 0.0 : 1.0);
 
     std::mt19937 rng(seed * 7919);
     auto pick = [&](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
@@ -217,6 +217,38 @@ TEST(CostEngine, BatchedScoresMatchApplyUndo) {
   // Both verdicts must actually occur, or the comparison is vacuous.
   EXPECT_GT(accepted, 100);
   EXPECT_GT(rejected, 100);
+}
+
+/// The searches normalize against a fresh engine's totals: that objective
+/// must equal the one built from a from-scratch out-of-box estimate, bit
+/// for bit, on every app and over the random corpus (both platforms the
+/// consistency suite uses), for each weight pair the targets map to.
+TEST(CostEngine, ObjectiveBaselineMatchesScratchOutOfBox) {
+  auto expect_same_baseline = [](const AssignContext& ctx) {
+    CostEngine engine(ctx);
+    for (auto [energy_weight, time_weight] : {std::pair{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}}) {
+      Objective fast = make_objective(engine, energy_weight, time_weight);
+      Objective scratch = oracles::make_objective(ctx, energy_weight, time_weight);
+      EXPECT_EQ(fast.energy_weight, scratch.energy_weight);
+      EXPECT_EQ(fast.time_weight, scratch.time_weight);
+      EXPECT_EQ(fast.baseline_energy_nj, scratch.baseline_energy_nj);
+      EXPECT_EQ(fast.baseline_cycles, scratch.baseline_cycles);
+    }
+  };
+  for (const apps::AppInfo& info : apps::all_apps()) {
+    SCOPED_TRACE(info.name);
+    auto ws = core::make_workspace(info.build(), {}, {});
+    expect_same_baseline(ws->context());
+  }
+  for (std::uint32_t seed = 1; seed <= static_cast<std::uint32_t>(testing::corpus_seeds());
+       ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (const mem::PlatformConfig& platform :
+         {testing::small_platform(), mem::PlatformConfig{}}) {
+      auto ws = make_ws(gen::random_program(seed), platform);
+      expect_same_baseline(ws->context());
+    }
+  }
 }
 
 /// Greedy with the engine must make the exact decisions of the from-scratch

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "assign/cost_engine.h"
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla::assign {
 namespace {
 
 using ir::av;
+using oracles::CostEstimate;
+using oracles::estimate_cost;
 using testing::make_ws;
 
 /// Ten reads of a small array plus op cycles: every term checkable by hand.
@@ -92,24 +96,25 @@ TEST(Cost, WriteOnlyCopySkipsFillButFlushes) {
 TEST(Cost, ObjectiveNormalizesAgainstBaseline) {
   auto ws = make_ws(ten_read_program());
   auto ctx = ws->context();
-  Objective obj = make_objective(ctx, 1.0, 1.0);
+  Objective obj = make_objective(CostEngine(ctx), 1.0, 1.0);
   CostEstimate baseline = estimate_cost(ctx, out_of_box(ctx));
-  EXPECT_DOUBLE_EQ(obj.scalar(baseline), 2.0);  // 1.0 energy + 1.0 time
+  EXPECT_DOUBLE_EQ(oracles::scalar(obj, baseline), 2.0);  // 1.0 energy + 1.0 time
 }
 
 TEST(Cost, ObjectiveWeightsSelectDimension) {
   auto ws = make_ws(ten_read_program());
   auto ctx = ws->context();
+  CostEngine engine(ctx);
   CostEstimate baseline = estimate_cost(ctx, out_of_box(ctx));
-  EXPECT_DOUBLE_EQ(make_objective(ctx, 1.0, 0.0).scalar(baseline), 1.0);
-  EXPECT_DOUBLE_EQ(make_objective(ctx, 0.0, 1.0).scalar(baseline), 1.0);
-  EXPECT_DOUBLE_EQ(make_objective(ctx, 2.0, 0.0).scalar(baseline), 2.0);
+  EXPECT_DOUBLE_EQ(oracles::scalar(make_objective(engine, 1.0, 0.0), baseline), 1.0);
+  EXPECT_DOUBLE_EQ(oracles::scalar(make_objective(engine, 0.0, 1.0), baseline), 1.0);
+  EXPECT_DOUBLE_EQ(oracles::scalar(make_objective(engine, 2.0, 0.0), baseline), 2.0);
 }
 
 TEST(Cost, NestCpuCyclesSplitsByNest) {
   auto ws = make_ws(testing::producer_consumer_program());
   auto ctx = ws->context();
-  std::vector<double> cycles = nest_cpu_cycles(ctx, out_of_box(ctx));
+  std::vector<double> cycles = nest_cpu_cycles(ctx, resolve(ctx, out_of_box(ctx)));
   ASSERT_EQ(cycles.size(), 2u);
   const mem::MemLayer& sdram = ctx.hierarchy.layer(ctx.hierarchy.background());
   // Each nest: 128 * (1 op + 2 accesses * latency).
@@ -125,7 +130,7 @@ TEST(Cost, NestCpuCyclesExcludeTransferStalls) {
   for (const auto& cc : ctx.reuse.candidates()) {
     if (cc.array == "big" && cc.level == 0) a.copies.push_back({cc.id, 0});
   }
-  std::vector<double> cycles = nest_cpu_cycles(ctx, a);
+  std::vector<double> cycles = nest_cpu_cycles(ctx, resolve(ctx, a));
   // 10 ops * 2 + 10 L1 accesses * 1 = 30; no transfer term.
   EXPECT_DOUBLE_EQ(cycles[0], 30.0);
 }
@@ -133,7 +138,7 @@ TEST(Cost, NestCpuCyclesExcludeTransferStalls) {
 TEST(Cost, LoopIterationCycles) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  Assignment oob = out_of_box(ctx);
+  Resolution oob = resolve(ctx, out_of_box(ctx));
 
   const ir::LoopNode& bi = ws->program().top()[0]->as_loop();
   double per_bi = loop_iteration_cpu_cycles(ctx, oob, 0, &bi);
@@ -152,7 +157,8 @@ TEST(Cost, LoopIterationCyclesZeroForForeignLoop) {
   auto ctx = ws->context();
   const ir::LoopNode& first = ws->program().top()[0]->as_loop();
   // Asking about nest 1 with a loop from nest 0: nothing matches.
-  EXPECT_DOUBLE_EQ(loop_iteration_cpu_cycles(ctx, out_of_box(ctx), 1, &first), 0.0);
+  Resolution oob = resolve(ctx, out_of_box(ctx));
+  EXPECT_DOUBLE_EQ(loop_iteration_cpu_cycles(ctx, oob, 1, &first), 0.0);
 }
 
 }  // namespace

@@ -61,8 +61,8 @@ TEST(Exhaustive, BeatsBaselineOnReuseProgram) {
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
   SearchResult oracle = exhaustive_assign(ctx);
-  Objective obj = make_objective(ctx, 1.0, 1.0);
-  EXPECT_LT(oracle.scalar, obj.scalar(estimate_cost(ctx, out_of_box(ctx))));
+  Objective obj = oracles::make_objective(ctx, 1.0, 1.0);
+  EXPECT_LT(oracle.scalar, oracles::scalar(obj, oracles::estimate_cost(ctx, out_of_box(ctx))));
 }
 
 TEST(Exhaustive, ThrowsOnLargeInstance) {

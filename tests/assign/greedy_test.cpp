@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla::assign {
 namespace {
@@ -13,8 +14,8 @@ TEST(Greedy, ImprovesOverBaseline) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   SearchResult result = greedy_assign(ctx);
-  Objective obj = make_objective(ctx, 1.0, 1.0);
-  double baseline = obj.scalar(estimate_cost(ctx, out_of_box(ctx)));
+  Objective obj = oracles::make_objective(ctx, 1.0, 1.0);
+  double baseline = oracles::scalar(obj, oracles::estimate_cost(ctx, out_of_box(ctx)));
   EXPECT_LT(result.scalar, baseline);
   EXPECT_FALSE(result.moves.empty());
 }
@@ -41,8 +42,9 @@ TEST(Greedy, FinalScalarMatchesReevaluation) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   SearchResult result = greedy_assign(ctx);
-  Objective obj = make_objective(ctx, 1.0, 1.0);
-  EXPECT_NEAR(result.scalar, obj.scalar(estimate_cost(ctx, result.assignment)), 1e-9);
+  Objective obj = oracles::make_objective(ctx, 1.0, 1.0);
+  EXPECT_NEAR(result.scalar, oracles::scalar(obj, oracles::estimate_cost(ctx, result.assignment)),
+              1e-9);
 }
 
 TEST(Greedy, NoOnChipLayersMeansNoMoves) {
@@ -97,8 +99,8 @@ TEST(Greedy, EnergyTargetNeverWorsensEnergy) {
   options.energy_weight = 1.0;
   options.time_weight = 0.0;
   SearchResult result = greedy_assign(ctx, options);
-  CostEstimate baseline = estimate_cost(ctx, out_of_box(ctx));
-  CostEstimate optimized = estimate_cost(ctx, result.assignment);
+  oracles::CostEstimate baseline = oracles::estimate_cost(ctx, out_of_box(ctx));
+  oracles::CostEstimate optimized = oracles::estimate_cost(ctx, result.assignment);
   EXPECT_LE(optimized.energy_nj, baseline.energy_nj);
 }
 
@@ -109,8 +111,8 @@ TEST(Greedy, TimeTargetNeverWorsensTime) {
   options.energy_weight = 0.0;
   options.time_weight = 1.0;
   SearchResult result = greedy_assign(ctx, options);
-  CostEstimate baseline = estimate_cost(ctx, out_of_box(ctx));
-  CostEstimate optimized = estimate_cost(ctx, result.assignment);
+  oracles::CostEstimate baseline = oracles::estimate_cost(ctx, out_of_box(ctx));
+  oracles::CostEstimate optimized = oracles::estimate_cost(ctx, result.assignment);
   EXPECT_LE(optimized.total_cycles(), baseline.total_cycles());
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla::assign {
 namespace {
@@ -71,8 +72,8 @@ TEST(PinnedTraffic, CostChargesExactlyOneFill) {
   Assignment pinned = base;
   pinned.array_layer["in"] = 0;
 
-  CostEstimate before = estimate_cost(ctx, base);
-  CostEstimate after = estimate_cost(ctx, pinned);
+  oracles::CostEstimate before = oracles::estimate_cost(ctx, base);
+  oracles::CostEstimate after = oracles::estimate_cost(ctx, pinned);
 
   const mem::MemLayer& l1 = ctx.hierarchy.layer(0);
   const mem::MemLayer& sdram = ctx.hierarchy.layer(ctx.hierarchy.background());
@@ -91,7 +92,7 @@ TEST(PinnedTraffic, SimulatorChargesTheSame) {
   Assignment a = out_of_box(ctx);
   a.array_layer["in"] = 0;
   a.array_layer["out"] = 1;
-  CostEstimate cost = estimate_cost(ctx, a);
+  oracles::CostEstimate cost = oracles::estimate_cost(ctx, a);
   sim::SimResult result = sim::simulate(ctx, a, {te::TransferMode::Blocking, {}});
   EXPECT_NEAR(result.total_cycles(), cost.total_cycles(), 1e-9);
   EXPECT_NEAR(result.energy_nj, cost.energy_nj, 1e-9);

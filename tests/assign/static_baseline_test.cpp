@@ -4,6 +4,7 @@
 
 #include "assign/search.h"
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla::assign {
 namespace {
@@ -87,9 +88,9 @@ TEST(StaticBaseline, MhlaBeatsOrMatchesItEverywhere) {
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = core::make_workspace(info.build(), {}, {});
     auto ctx = ws->context();
-    Objective obj = make_objective(ctx, 1.0, 1.0);
+    Objective obj = oracles::make_objective(ctx, 1.0, 1.0);
     double baseline_scalar =
-        obj.scalar(estimate_cost(ctx, static_baseline_assign(ctx).assignment));
+        oracles::scalar(obj, oracles::estimate_cost(ctx, static_baseline_assign(ctx).assignment));
     double mhla_scalar = greedy_assign(ctx).scalar;
     EXPECT_LE(mhla_scalar, baseline_scalar + 1e-9) << info.name;
   }
@@ -100,9 +101,9 @@ TEST(StaticBaseline, MhlaStrictlyWinsWhenArraysDontFit) {
   // nothing useful, MHLA's copies still capture the reuse.
   auto ws = core::make_workspace(apps::build_motion_estimation(), {}, {});
   auto ctx = ws->context();
-  Objective obj = make_objective(ctx, 1.0, 1.0);
+  Objective obj = oracles::make_objective(ctx, 1.0, 1.0);
   double baseline_scalar =
-      obj.scalar(estimate_cost(ctx, static_baseline_assign(ctx).assignment));
+      oracles::scalar(obj, oracles::estimate_cost(ctx, static_baseline_assign(ctx).assignment));
   double mhla_scalar = assign::greedy_assign(ctx).scalar;
   EXPECT_LT(mhla_scalar, baseline_scalar * 0.8);
 }

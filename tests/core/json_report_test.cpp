@@ -93,9 +93,7 @@ TEST(JsonReport, SimResultIsWellFormed) {
 
 TEST(JsonReport, FourPointIncludesAllBars) {
   auto ws = testing::make_ws(testing::blocked_reuse_program());
-  auto ctx = ws->context();
-  sim::FourPoint fp = sim::simulate_four_points(ctx, assign::greedy_assign(ctx).assignment);
-  std::string json = to_json("demo app", fp);
+  std::string json = to_json("demo app", testing::reference_run(*ws).points);
   expect_balanced(json);
   for (const char* key : {"\"application\"", "\"out_of_box\"", "\"mhla\"", "\"mhla_te\"",
                           "\"ideal\""}) {

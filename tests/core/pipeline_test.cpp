@@ -77,7 +77,7 @@ PipelineConfig custom_config() {
 
 TEST(Pipeline, GreedyStrategyMatchesGreedyReferenceOnAllNineApps) {
   // The facade must not move a single bit relative to the flow built from
-  // its parts (greedy_assign + simulate_four_points).
+  // its parts (testing::reference_run: greedy_assign + four sim::simulate).
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = make_workspace(info.build(), {}, {});
     testing::ReferenceRun reference = testing::reference_run(*ws);

@@ -2,6 +2,7 @@
 
 // Shared fixtures and builders for the MHLA test suite.
 
+#include <cstdlib>
 #include <memory>
 #include <tuple>
 
@@ -79,9 +80,22 @@ inline std::unique_ptr<core::Workspace> make_ws(ir::Program program,
   return core::make_workspace(std::move(program), platform, dma);
 }
 
+/// Size of the seeded random-program corpus the differential and
+/// consistency suites run over: MHLA_DIFF_SEEDS (default 50).  The
+/// generator is seeded, so seed k names the same program in every suite and
+/// build.
+inline int corpus_seeds() {
+  if (const char* env = std::getenv("MHLA_DIFF_SEEDS")) {
+    int seeds = std::atoi(env);
+    if (seeds > 0) return seeds;
+  }
+  return 50;
+}
+
 /// The paper's two-step flow built from its parts, independently of
 /// `core::evaluate_cell`: the greedy search with `target`'s weights, then
-/// the four reference simulations of the workspace's platform.
+/// the four reference simulations of the workspace's platform (out-of-box,
+/// blocking, time-extended, ideal).
 struct ReferenceRun {
   assign::SearchResult step1;
   sim::FourPoint points;
@@ -95,7 +109,12 @@ inline ReferenceRun reference_run(const core::Workspace& ws,
   std::tie(greedy.energy_weight, greedy.time_weight) = assign::target_weights(target);
   ReferenceRun run;
   run.step1 = assign::greedy_assign(ctx, greedy);
-  run.points = sim::simulate_four_points(ctx, run.step1.assignment, te_options);
+  const assign::Assignment& step1 = run.step1.assignment;
+  run.points.out_of_box =
+      sim::simulate(ctx, assign::out_of_box(ctx), {te::TransferMode::Blocking, {}});
+  run.points.mhla = sim::simulate(ctx, step1, {te::TransferMode::Blocking, {}});
+  run.points.mhla_te = sim::simulate(ctx, step1, {te::TransferMode::TimeExtended, te_options});
+  run.points.ideal = sim::simulate(ctx, step1, {te::TransferMode::Ideal, {}});
   return run;
 }
 

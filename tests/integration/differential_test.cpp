@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "assign/search.h"
@@ -37,14 +36,6 @@
 
 namespace mhla {
 namespace {
-
-int corpus_seeds() {
-  if (const char* env = std::getenv("MHLA_DIFF_SEEDS")) {
-    int seeds = std::atoi(env);
-    if (seeds > 0) return seeds;
-  }
-  return 50;
-}
 
 std::size_t candidate_placements(const assign::AssignContext& ctx) {
   return ctx.reuse.candidates().size() *
@@ -72,7 +63,7 @@ void expect_greedy_matches_oracle(const assign::AssignContext& ctx,
 }
 
 TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
-  const int seeds = corpus_seeds();
+  const int seeds = testing::corpus_seeds();
   int greedy_compared = 0;
   int exact_compared = 0;
   int parallel_compared = 0;

@@ -332,8 +332,8 @@ TEST(CancellationConsistency, BnbIncumbentMatchesAFreshEvaluation) {
     // incremental journal left no residue).  The greedy fallback incumbent
     // accumulates its scalar over moves, so the comparison carries the
     // usual float-accumulation tolerance.
-    assign::Objective objective = assign::make_objective(ctx, 1.0, 1.0);
-    double fresh = objective.scalar(assign::estimate_cost(ctx, truncated.assignment));
+    assign::Objective objective = oracles::make_objective(ctx, 1.0, 1.0);
+    double fresh = oracles::scalar(objective, oracles::estimate_cost(ctx, truncated.assignment));
     EXPECT_NEAR(fresh, truncated.scalar, 1e-9 * std::max(1.0, std::abs(truncated.scalar)));
 
     if (truncated.status == assign::SearchStatus::BudgetExhausted) {
@@ -381,8 +381,8 @@ TEST(CancellationConsistency, AnnealTruncatesDeterministically) {
     EXPECT_TRUE(assign::layering_valid(ctx, truncated.assignment));
 
     // Best-so-far state re-evaluates from scratch to the reported scalar.
-    assign::Objective objective = assign::make_objective(ctx, 1.0, 1.0);
-    double fresh = objective.scalar(assign::estimate_cost(ctx, truncated.assignment));
+    assign::Objective objective = oracles::make_objective(ctx, 1.0, 1.0);
+    double fresh = oracles::scalar(objective, oracles::estimate_cost(ctx, truncated.assignment));
     EXPECT_NEAR(fresh, truncated.scalar, 1e-9 * std::max(1.0, std::abs(truncated.scalar)));
 
     // The seeded walk truncated at a fixed iteration is fully reproducible.

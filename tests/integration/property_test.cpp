@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.h"
+#include "oracles/oracles.h"
 
 namespace mhla {
 namespace {
@@ -31,8 +32,8 @@ class PlatformSweep : public ::testing::TestWithParam<PlatformCase> {
 TEST_P(PlatformSweep, GreedyNeverWorseThanBaseline) {
   auto ctx = ws_->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  assign::Objective obj = assign::make_objective(ctx, 1.0, 1.0);
-  double baseline = obj.scalar(assign::estimate_cost(ctx, assign::out_of_box(ctx)));
+  assign::Objective obj = oracles::make_objective(ctx, 1.0, 1.0);
+  double baseline = oracles::scalar(obj, oracles::estimate_cost(ctx, assign::out_of_box(ctx)));
   EXPECT_LE(greedy.scalar, baseline + 1e-9);
 }
 
@@ -46,7 +47,7 @@ TEST_P(PlatformSweep, ResultAlwaysFeasible) {
 TEST_P(PlatformSweep, SimAgreesWithCost) {
   auto ctx = ws_->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  assign::CostEstimate cost = assign::estimate_cost(ctx, greedy.assignment);
+  oracles::CostEstimate cost = oracles::estimate_cost(ctx, greedy.assignment);
   sim::SimResult result = sim::simulate(ctx, greedy.assignment);
   EXPECT_NEAR(result.total_cycles(), cost.total_cycles(), 1e-6 * cost.total_cycles());
   EXPECT_NEAR(result.energy_nj, cost.energy_nj, 1e-6 * cost.energy_nj);

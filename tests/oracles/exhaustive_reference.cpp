@@ -57,7 +57,7 @@ struct SearchState {
     }
     if (!fits(ctx, assignment)) return;
     if (!layering_valid(ctx, assignment)) return;
-    double scalar = objective.scalar(estimate_cost(ctx, assignment));
+    double scalar = oracles::scalar(objective, estimate_cost(ctx, assignment));
     if (scalar < best_scalar) {
       best_scalar = scalar;
       best = assignment;
@@ -115,7 +115,7 @@ SearchResult enumerate(const AssignContext& ctx, const SearchOptions& options,
                        core::RunBudget& run_budget) {
   SearchState state{ctx, options, make_objective(ctx, options.energy_weight, options.time_weight),
                     out_of_box(ctx), 0.0, 0, false, &run_budget};
-  state.best_scalar = state.objective.scalar(estimate_cost(ctx, state.best));
+  state.best_scalar = oracles::scalar(state.objective, estimate_cost(ctx, state.best));
 
   Assignment scratch = out_of_box(ctx);
   state.recurse_arrays(scratch, 0);

@@ -40,7 +40,7 @@ SearchResult greedy_reference(const AssignContext& ctx, const SearchOptions& opt
   result.assignment = out_of_box(ctx);
 
   Objective objective = make_objective(ctx, options.energy_weight, options.time_weight);
-  double current_scalar = objective.scalar(estimate_cost(ctx, result.assignment));
+  double current_scalar = oracles::scalar(objective, estimate_cost(ctx, result.assignment));
   result.evaluations = 1;
 
   int background = ctx.hierarchy.background();
@@ -66,7 +66,7 @@ SearchResult greedy_reference(const AssignContext& ctx, const SearchOptions& opt
     auto consider = [&](GreedyMove move, Assignment next) {
       if (!fits(ctx, next)) return;
       if (move.kind == GreedyMove::Kind::SelectCopy && !layering_valid(ctx, next)) return;
-      double scalar = objective.scalar(estimate_cost(ctx, next));
+      double scalar = oracles::scalar(objective, estimate_cost(ctx, next));
       ++result.evaluations;
       double gain = current_scalar - scalar;
       if (gain <= 1e-12) return;

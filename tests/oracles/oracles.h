@@ -4,10 +4,14 @@
 // against.  They live with the tests (library `mhla_oracles`, also linked
 // by bench_search_scaling) and no production path can reach them.
 //
-// The from-scratch searches re-evaluate every candidate state with
-// `estimate_cost` over a copied assignment — no cost engine, no footprint
-// tracker, no pruning — so they share no incremental machinery with the
-// production search they check.  The front-end references are the
+// `estimate_cost` is the static cost model from first principles: one
+// `resolve`, one IR walk, one pass over sites, transfers and pinned arrays.
+// The engine's totals must equal it bit for bit, and the simulator's
+// Blocking-mode cycles, energy and per-layer counts must match it.  The
+// from-scratch searches re-evaluate every candidate state with it over a
+// copied assignment — no cost engine, no footprint tracker, no pruning — so
+// they share no incremental machinery with the production search they
+// check.  The front-end references are the
 // previous implementations of the program-text parser and of the
 // copy-candidate generation, kept verbatim.  The bounding-box footprint
 // model states the reuse analysis' box and delta-transfer arithmetic from
@@ -27,6 +31,42 @@
 #include "te/extension.h"
 
 namespace mhla::oracles {
+
+/// Static cost estimate of an assignment (MHLA step 1 view: block transfers
+/// block the processor; time extensions are applied later).  Energy counts
+/// memory-hierarchy accesses only, like the paper.
+struct CostEstimate {
+  double energy_nj = 0.0;        ///< all processor accesses + copy traffic
+  double compute_cycles = 0.0;   ///< statement op cycles
+  double access_cycles = 0.0;    ///< processor load/store stall cycles
+  double transfer_cycles = 0.0;  ///< blocking block-transfer cycles
+  double total_cycles() const { return compute_cycles + access_cycles + transfer_cycles; }
+
+  /// Per-layer dynamic access counts (processor + copy traffic),
+  /// reads and writes separately.
+  std::vector<ir::i64> layer_reads;
+  std::vector<ir::i64> layer_writes;
+};
+
+/// Evaluate an assignment with the static model, from scratch.  Sums sites
+/// in id order, then transfers in copy order, then pinned arrays in
+/// declaration order — the order `assign::CostEngine::totals` reproduces.
+CostEstimate estimate_cost(const assign::AssignContext& ctx, const assign::Assignment& assignment);
+
+/// Same, over a `Resolution` the caller already computed for `assignment`.
+CostEstimate estimate_cost(const assign::AssignContext& ctx, const assign::Assignment& assignment,
+                           const assign::Resolution& res);
+
+/// The objective's scalar of a from-scratch estimate.
+inline double scalar(const assign::Objective& objective, const CostEstimate& cost) {
+  return objective.scalar_terms(cost.energy_nj, cost.total_cycles());
+}
+
+/// The search objective normalized against `estimate_cost` of the
+/// out-of-box assignment — what `assign::make_objective` reads off a fresh
+/// engine, computed from scratch.
+assign::Objective make_objective(const assign::AssignContext& ctx, double energy_weight,
+                                 double time_weight);
 
 /// Greedy steering search that scores each candidate by a fresh
 /// `estimate_cost`.  Enumerates, scores, tie-breaks and charges budget

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "assign/search.h"
 #include "helpers.h"
 
 namespace mhla::sim {
@@ -30,10 +29,7 @@ TEST(Report, FormatResultMentionsLayersAndCycles) {
 
 TEST(Report, FormatFourPointsNormalizesTo100) {
   auto ws = make_ws(testing::blocked_reuse_program());
-  auto ctx = ws->context();
-  assign::SearchResult greedy = assign::greedy_assign(ctx);
-  FourPoint fp = simulate_four_points(ctx, greedy.assignment);
-  std::string text = format_four_points("demo", fp);
+  std::string text = format_four_points("demo", testing::reference_run(*ws).points);
   EXPECT_NE(text.find("demo"), std::string::npos);
   EXPECT_NE(text.find("out-of-box"), std::string::npos);
   EXPECT_NE(text.find("100.0 %"), std::string::npos);

@@ -19,24 +19,6 @@ TEST(Simulator, BaselineHasNoStalls) {
   EXPECT_TRUE(result.feasible);
 }
 
-TEST(Simulator, AgreesWithStaticCostModelBlocking) {
-  // The simulator and assign::estimate_cost are independent
-  // implementations; in Blocking mode they must agree exactly.
-  auto ws = make_ws(testing::blocked_reuse_program());
-  auto ctx = ws->context();
-  assign::SearchResult greedy = assign::greedy_assign(ctx);
-
-  for (const assign::Assignment& a : {assign::out_of_box(ctx), greedy.assignment}) {
-    assign::CostEstimate cost = assign::estimate_cost(ctx, a);
-    SimResult sim_result = simulate(ctx, a, {te::TransferMode::Blocking, {}});
-    EXPECT_NEAR(sim_result.total_cycles(), cost.total_cycles(), 1e-6);
-    EXPECT_NEAR(sim_result.energy_nj, cost.energy_nj, 1e-6);
-    EXPECT_NEAR(sim_result.compute_cycles, cost.compute_cycles, 1e-6);
-    EXPECT_NEAR(sim_result.access_cycles, cost.access_cycles, 1e-6);
-    EXPECT_NEAR(sim_result.stall_cycles, cost.transfer_cycles, 1e-6);
-  }
-}
-
 TEST(Simulator, ModeOrdering) {
   // Ideal <= TimeExtended <= Blocking, always.
   auto ws = make_ws(testing::blocked_reuse_program());
@@ -50,19 +32,6 @@ TEST(Simulator, ModeOrdering) {
   EXPECT_LE(ideal.total_cycles(), extended.total_cycles());
   EXPECT_LE(extended.total_cycles(), blocking.total_cycles());
   EXPECT_DOUBLE_EQ(ideal.stall_cycles, 0.0);
-}
-
-TEST(Simulator, EnergyInvariantAcrossModes) {
-  // Paper: "energy consumption in both steps remains the same" — the model
-  // counts memory accesses only.
-  auto ws = make_ws(testing::blocked_reuse_program());
-  auto ctx = ws->context();
-  assign::SearchResult greedy = assign::greedy_assign(ctx);
-  SimResult blocking = simulate(ctx, greedy.assignment, {te::TransferMode::Blocking, {}});
-  SimResult extended = simulate(ctx, greedy.assignment, {te::TransferMode::TimeExtended, {}});
-  SimResult ideal = simulate(ctx, greedy.assignment, {te::TransferMode::Ideal, {}});
-  EXPECT_DOUBLE_EQ(blocking.energy_nj, extended.energy_nj);
-  EXPECT_DOUBLE_EQ(blocking.energy_nj, ideal.energy_nj);
 }
 
 TEST(Simulator, NestCyclesSumToComputePlusAccess) {
@@ -86,9 +55,7 @@ TEST(Simulator, LayerStatsConsistentWithEnergy) {
 
 TEST(Simulator, FourPointsShape) {
   auto ws = make_ws(testing::blocked_reuse_program());
-  auto ctx = ws->context();
-  assign::SearchResult greedy = assign::greedy_assign(ctx);
-  FourPoint fp = simulate_four_points(ctx, greedy.assignment);
+  FourPoint fp = testing::reference_run(*ws).points;
   EXPECT_LE(fp.mhla.total_cycles(), fp.out_of_box.total_cycles());
   EXPECT_LE(fp.mhla_te.total_cycles(), fp.mhla.total_cycles());
   EXPECT_LE(fp.ideal.total_cycles(), fp.mhla_te.total_cycles());
@@ -96,6 +63,8 @@ TEST(Simulator, FourPointsShape) {
   EXPECT_DOUBLE_EQ(fp.mhla.energy_nj, fp.mhla_te.energy_nj);
 }
 
+// SimResult::layers counts every dynamic access per layer: processor loads
+// and stores plus copy traffic.
 TEST(AccessTally, CountsProcessorAndCopyTraffic) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
@@ -106,24 +75,27 @@ TEST(AccessTally, CountsProcessorAndCopyTraffic) {
   }
   ASSERT_GE(cc_id, 0);
   a.copies.push_back({cc_id, 0});
-  AccessTally tally = tally_accesses(ctx, a);
+  std::vector<LayerStats> layers = simulate(ctx, a).layers;
   const analysis::CopyCandidate& cc = ctx.reuse.candidate(cc_id);
 
   // L1: processor reads + copy-fill writes.
-  EXPECT_EQ(tally.reads[0], cc.reads_served);
-  EXPECT_EQ(tally.writes[0], cc.transfers * cc.elems_per_transfer);
+  EXPECT_EQ(layers[0].reads, cc.reads_served);
+  EXPECT_EQ(layers[0].writes, cc.transfers * cc.elems_per_transfer);
   // SDRAM: copy-fill reads + the program's own writes to "acc".
-  EXPECT_EQ(tally.reads[static_cast<std::size_t>(ctx.hierarchy.background())],
+  EXPECT_EQ(layers[static_cast<std::size_t>(ctx.hierarchy.background())].reads,
             cc.transfers * cc.elems_per_transfer);
 }
 
 TEST(AccessTally, GrandTotalConsistency) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  AccessTally tally = tally_accesses(ctx, assign::out_of_box(ctx));
+  SimResult result = simulate(ctx, assign::out_of_box(ctx));
+  ASSERT_EQ(result.layers.size(), static_cast<std::size_t>(ctx.hierarchy.num_layers()));
   ir::i64 expected = 0;
   for (const analysis::AccessSite& site : ctx.sites) expected += site.dynamic_accesses();
-  EXPECT_EQ(tally.grand_total(), expected);
+  ir::i64 total = 0;
+  for (const LayerStats& layer : result.layers) total += layer.reads + layer.writes;
+  EXPECT_EQ(total, expected);
 }
 
 TEST(Simulator, InfeasibleAssignmentIsFlagged) {
